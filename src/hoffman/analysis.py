@@ -39,7 +39,7 @@ from .activesets import (
     maximal_sets,
     residuals,
 )
-from .convex import Trichotomy, minmax_value_sq
+from .convex import Trichotomy, _hull_membership_constraints, minmax_value_sq
 from .lp import feasible
 from .rational import Mat, Vec, solve_linear, to_rational
 
@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -137,14 +136,8 @@ def convex_hull_multipliers(rows: Sequence[Vec]) -> Vec | None:
     """
     if not rows:
         raise ValueError("need at least one row")
-    k = len(rows)
-    n = rows[0].dim
-    eqs = [(Vec.of([r[coord] for r in rows]), _ZERO) for coord in range(n)]
-    eqs.append((Vec.of([_ONE] * k), _ONE))
-    ineqs = [(Vec.unit(k, i), _ONE) for i in range(k)]
-    ineqs += [(Vec.unit(k, i).scale(-1), _ZERO) for i in range(k)]
-    result = feasible(eqs, ineqs)
-    return result.point
+    eqs, ineqs = _hull_membership_constraints(rows)
+    return feasible(eqs, ineqs).point
 
 
 def check_error_bound(

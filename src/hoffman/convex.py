@@ -17,6 +17,10 @@ rounding: the origin lies outside the hull exactly when the convex-multiplier
 system {sum(l_i d_i) = 0, sum(l_i) = 1, 0 <= l_i <= 1} is infeasible, and it
 is interior exactly when the hull is full-dimensional and the multipliers can
 be chosen with a strictly positive common margin.
+
+The distance in the negative case comes from Wolfe's nearest-point method
+run over the rationals, so the nearest point is exact; before it is returned
+it is checked by substitution against every point of the set.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .lp import LinearProgram, LpStatus, feasible, solve_lp
-from .rational import Mat, Vec, _row_rank, affine_hull_dim, nullspace, solve_linear
+from .lp import LinearProgram, LpStatus, solve_lp
+from .rational import Mat, Vec, affine_hull_dim, nullspace, solve_linear
 
 __all__ = [
     "Trichotomy",
@@ -88,7 +92,11 @@ def _dedupe(points: Sequence[Vec]) -> list[Vec]:
 
 
 def _hull_membership_constraints(pts: Sequence[Vec]) -> tuple[list, list]:
-    """Constraints of the convex-multiplier system for the origin."""
+    """Constraints of the convex-multiplier system for the origin.
+
+    The rows l_i <= 1 follow from the others but stay: the simplex pivots,
+    and so the certificate multipliers built from this system, depend on them.
+    """
     k = len(pts)
     n = pts[0].dim
     eqs = [(Vec.of([p[coord] for p in pts]), _ZERO) for coord in range(n)]
@@ -129,7 +137,13 @@ def minmax_sign(points: Sequence[Vec]) -> Trichotomy:
     """Exact sign of v(points); decided by rational feasibility programs."""
     pts = _validated(points)
     eqs, ineqs = _hull_membership_constraints(pts)
-    if not feasible(eqs, ineqs).is_feasible:
+    # Only the outcome matters, so no infeasibility certificate is built.
+    membership = LinearProgram(
+        objective=Vec.zeros(len(pts)),
+        eq_constraints=tuple(eqs),
+        ineq_constraints=tuple(ineqs),
+    )
+    if solve_lp(membership).status is LpStatus.INFEASIBLE:
         return Trichotomy.NEGATIVE
     n = pts[0].dim
     if affine_hull_dim(pts) == n and _relative_interior_margin(pts) > 0:
@@ -137,56 +151,85 @@ def minmax_sign(points: Sequence[Vec]) -> Trichotomy:
     return Trichotomy.ZERO
 
 
-def _project_origin_onto_spanned_face(subset: Sequence[Vec], dim: int) -> tuple[Vec, Fraction] | None:
-    """Project the origin onto aff(subset) if the subset is affinely
-    independent and the projection has nonnegative barycentric coordinates.
+def _affine_minimizer(corral: Sequence[Vec]) -> list[Fraction]:
+    """Barycentric weights of the point of least norm in aff(corral).
 
-    Returns (projection, squared distance) or None.
+    Solves the normal equations {sum_j <p_i, p_j> v_j + mu = 0, sum v_j = 1},
+    which are regular exactly when the corral is affinely independent.
     """
-    base = subset[0]
-    diffs = [s - base for s in subset[1:]]
-    if diffs:
-        if _row_rank(diffs, dim) < len(diffs):
-            return None  # affinely dependent; a smaller subset covers this face
-        gram = Mat.of([[di.dot(dj) for dj in diffs] for di in diffs])
-        rhs = Vec.of([-d.dot(base) for d in diffs])
-        solution = solve_linear(gram, rhs)
-        if solution is None or not solution.unique:
-            raise RuntimeError("Gram system of an independent subset must be regular")
-        coeffs = list(solution.point.entries)
-        lead = _ONE - sum(coeffs, _ZERO)
-        if lead < 0 or any(c < 0 for c in coeffs):
-            return None
-        projection = base
-        for c, d in zip(coeffs, diffs):
-            if c:
-                projection = projection + d.scale(c)
-    else:
-        projection = base
-    return projection, projection.norm_sq()
+    k = len(corral)
+    rows = [[p.dot(q) for q in corral] + [_ONE] for p in corral]
+    rows.append([_ONE] * k + [_ZERO])
+    solution = solve_linear(Mat.of(rows), Vec.of([_ZERO] * k + [_ONE]))
+    if solution is None or not solution.unique:
+        raise RuntimeError("the corral of the nearest-point method lost affine independence")
+    return list(solution.point.entries[:k])
+
+
+def _combine(weights: Sequence[Fraction], corral: Sequence[Vec]) -> Vec:
+    point = corral[0].scale(weights[0])
+    for w, p in zip(weights[1:], corral[1:]):
+        if w:
+            point = point + p.scale(w)
+    return point
+
+
+def _checked_nearest(pts: Sequence[Vec], corral: Sequence[Vec], weights: Sequence[Fraction]) -> Vec:
+    """The point sum(w_i c_i), checked by substitution to be the nearest point
+    of conv(pts): the weights are convex, and no point of the set lies
+    strictly on the origin's side of the hyperplane through it normal to it."""
+    if any(w < 0 for w in weights) or sum(weights, _ZERO) != 1:
+        raise RuntimeError("nearest-point weights are not convex")
+    point = _combine(weights, corral)
+    dist_sq = point.norm_sq()
+    if any(p.dot(point) < dist_sq for p in pts):
+        raise RuntimeError("nearest-point result failed its optimality check")
+    return point
 
 
 def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
     """Nearest point of conv(points) to the origin and its squared distance.
 
-    Exhaustive face enumeration: every affinely independent subset of at most
-    n+1 points contributes the projection of the origin onto its affine hull
-    whenever that projection lies inside the subset's simplex; the closest
-    candidate is the answer.  Exponential in the input size by design; the
-    expected scale is small.
+    Wolfe's nearest-point method (Wolfe 1976) in exact arithmetic.  The corral
+    is an affinely independent subset whose hull holds the current point x,
+    with positive convex weights; it starts as the point of least norm.  A
+    major step adds the point minimising <x, p> (lowest index on ties) while
+    that value is below <x, x>.  Minor steps then move x to the least-norm
+    point of the corral's affine hull, or, when that point leaves the corral's
+    hull, back to the hull's boundary, dropping the points whose weight
+    becomes exactly zero.  The norm falls strictly at each major step, so no
+    corral repeats and the method is finite.  The nearest point is unique, so
+    the result does not depend on the path; it is checked by substitution
+    before it is returned, and a failed check raises RuntimeError.
     """
     pts = _dedupe(_validated(points))
-    dim = pts[0].dim
-    best: tuple[Vec, Fraction] | None = None
-    for size in range(1, min(dim + 1, len(pts)) + 1):
-        for subset in combinations(pts, size):
-            candidate = _project_origin_onto_spanned_face(subset, dim)
-            if candidate is None:
-                continue
-            if best is None or candidate[1] < best[1]:
-                best = candidate
-    assert best is not None  # singletons always produce candidates
-    return best
+    first = min(range(len(pts)), key=lambda i: pts[i].norm_sq())
+    corral, weights = [pts[first]], [_ONE]
+    point = pts[first]
+    dist_sq = point.norm_sq()
+    while True:
+        values = [p.dot(point) for p in pts]
+        best = min(range(len(pts)), key=values.__getitem__)
+        if values[best] >= dist_sq:
+            break
+        corral.append(pts[best])
+        weights.append(_ZERO)
+        while True:
+            target = _affine_minimizer(corral)
+            if all(v > 0 for v in target):
+                weights = target
+                break
+            theta = min(w / (w - v) for w, v in zip(weights, target) if v <= 0)
+            weights = [(1 - theta) * w + theta * v for w, v in zip(weights, target)]
+            kept = [i for i, w in enumerate(weights) if w]
+            corral = [corral[i] for i in kept]
+            weights = [weights[i] for i in kept]
+        point = _combine(weights, corral)
+        previous, dist_sq = dist_sq, point.norm_sq()
+        if dist_sq >= previous:
+            raise RuntimeError("nearest-point method made no progress")
+    point = _checked_nearest(pts, corral, weights)
+    return point, point.norm_sq()
 
 
 def _supporting_halfspace(subset: Sequence[Vec], pts: Sequence[Vec], dim: int) -> tuple[Vec, Fraction] | None:

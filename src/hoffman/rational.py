@@ -9,6 +9,7 @@ concurrent callers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -37,6 +38,11 @@ _ONE = Fraction(1)
 # Unicode minus shows up in hand-written data files; normalize it on parse.
 _MINUS_SIGN = "−"
 
+# The literal forms parse_rational documents.  `Fraction` alone also takes
+# exponents and underscores; "1e2000000" would build a 6.6M-bit integer,
+# which the interpreter's limit on int digits does not catch.
+_LITERAL = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
 
 def to_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string literal to an exact rational."""
@@ -56,6 +62,8 @@ def parse_rational(text: str) -> Fraction:
     involved at any stage.
     """
     cleaned = text.strip().replace(_MINUS_SIGN, "-")
+    if not _LITERAL.fullmatch(cleaned):
+        raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:

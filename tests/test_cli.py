@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import hoffman.convex
 from hoffman import InequalitySystem, save_system
 from hoffman.cli import main
 
@@ -230,6 +231,25 @@ def test_json_floats_are_an_input_error(tmp_path):
     code, _, err = run_cli("check-eb", str(path))
     assert code == 2
     assert "exact scalars as strings" in err
+
+
+@pytest.mark.parametrize("literal", ["1e200000", "2E3", "1_0"])
+def test_exponent_and_underscore_literals_are_an_input_error(tmp_path, literal):
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"A": [[literal]], "b": ["0"]}))
+    code, report, err = run_cli("check-eb", str(path))
+    assert code == 2
+    assert report is None
+    assert "not a rational literal" in err
+
+
+def test_failed_nearest_point_check_is_an_internal_error(monkeypatch, triangle_file):
+    combine = hoffman.convex._combine
+    monkeypatch.setattr(hoffman.convex, "_combine", lambda weights, corral: combine(weights, corral).scale(2))
+    code, report, err = run_cli("check-stability", triangle_file)
+    assert code == 1
+    assert report is None
+    assert "optimality check" in err
 
 
 def test_thread_env_variable(monkeypatch, triangle_file):

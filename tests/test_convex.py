@@ -1,11 +1,15 @@
 """Sign trichotomy and exact squared magnitude of the worst-direction value."""
 
 import math
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from corpus import point_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import min_norm_point_by_faces
 
 from hoffman import (
     LinearProgram,
@@ -13,13 +17,16 @@ from hoffman import (
     Trichotomy,
     Vec,
     affine_hull_dim,
+    check_stability,
     feasible,
     inradius_at_origin_sq,
     min_norm_point_sq,
     minmax_sign,
     minmax_value_sq,
     solve_lp,
+    worst_case_system,
 )
+from hoffman.convex import _checked_nearest
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -60,6 +67,35 @@ def test_lower_dimensional_set_is_never_positive():
     # Collinear points around the origin span only a line in the plane.
     pts = [Vec.of([-1, 0]), Vec.of([2, 0])]
     assert minmax_sign(pts) is Trichotomy.ZERO
+
+
+def route_through(monkeypatch, fn, hook):
+    """Rebind every name the package's modules hold for `fn` to `hook`."""
+    for name, module in list(sys.modules.items()):
+        if name == "hoffman" or name.startswith("hoffman."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, hook)
+
+
+def test_negative_sign_solves_one_lp(monkeypatch):
+    programs = []
+
+    def counted(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    route_through(monkeypatch, solve_lp, counted)
+    assert minmax_sign(SEGMENT) is Trichotomy.NEGATIVE
+    assert len(programs) == 1  # membership only: no infeasibility certificate
+
+
+def test_stability_check_never_asks_for_a_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lp.feasible builds a certificate the sign test discards")
+
+    route_through(monkeypatch, feasible, refuse)
+    assert check_stability(worst_case_system(4)).stable
 
 
 def test_sign_rejects_empty_and_mixed_dimension():
@@ -143,6 +179,47 @@ def test_min_norm_point_ignores_duplicates():
     point, dist_sq = min_norm_point_sq(SEGMENT + SEGMENT)
     assert dist_sq == Fraction(1, 2)
     assert point.entries == (Fraction(1, 2), Fraction(1, 2))
+
+
+@st.composite
+def point_sets_with_repeats(draw):
+    """point_sets() plus repeated points and, sometimes, a point's mirror
+    image, which puts the origin in the hull."""
+    pts = draw(point_sets())
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    if draw(st.booleans()):
+        pts.append(-draw(st.sampled_from(pts)))
+    return pts
+
+
+def assert_matches_face_enumeration(pts):
+    point, dist_sq = min_norm_point_sq(pts)
+    assert (point, dist_sq) == min_norm_point_by_faces(pts)
+
+
+def test_min_norm_point_matches_face_enumeration_on_the_point_corpus():
+    for pts in point_corpus():
+        assert_matches_face_enumeration(pts)
+
+
+def test_min_norm_point_matches_face_enumeration_on_identity_row_subsets():
+    rows = worst_case_system(6).A.rows
+    for size in range(1, len(rows) + 1):
+        for subset in combinations(rows, size):
+            assert_matches_face_enumeration(subset)
+
+
+@given(point_sets_with_repeats())
+@settings(max_examples=100, deadline=None)
+def test_min_norm_point_matches_face_enumeration(pts):
+    assert_matches_face_enumeration(pts)
+
+
+def test_nearest_point_check_rejects_wrong_answers():
+    with pytest.raises(RuntimeError):
+        _checked_nearest(SEGMENT, SEGMENT[:1], [Fraction(1)])  # a vertex, not the nearest point
+    with pytest.raises(RuntimeError):
+        _checked_nearest(SEGMENT, SEGMENT, [Fraction(3, 2), Fraction(-1, 2)])  # outside the hull
 
 
 @given(point_sets())

@@ -45,7 +45,16 @@ def test_parse_strips_whitespace():
     assert parse_rational("  5/3 ") == Fraction(5, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1/0", "1.2.3", "2/3/4", "nan", "inf"])
+def test_parse_signed_and_bare_decimals():
+    assert parse_rational("+3") == 3
+    assert parse_rational(".5") == Fraction(1, 2)
+    assert parse_rational("-2.") == -2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["", "abc", "1/0", "1.2.3", "2/3/4", "nan", "inf", "1e200000", "2E3", "1.5e-2", "1_0", "1/1_0", "- 1"],
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
