@@ -8,158 +8,26 @@ certificates checkable by substitution.  A seeded floating-point sampling
 module cross-checks the exact engines but never feeds them.
 """
 
-from .rational import (
-    Rational,
-    Vec,
-    Mat,
-    LinearSolution,
-    to_rational,
-    parse_rational,
-    format_rational,
-    rank,
-    solve_linear,
-    nullspace,
-    affine_hull_dim,
-)
-from .lp import (
-    LpStatus,
-    LinearProgram,
-    LpOutcome,
-    FarkasCertificate,
-    FeasibilityResult,
-    solve_lp,
-    feasible,
-)
-from .convex import (
-    Trichotomy,
-    MinMaxValue,
-    minmax_sign,
-    min_norm_point_sq,
-    inradius_at_origin_sq,
-    minmax_value_sq,
-)
-from .activesets import (
-    IndexSet,
-    InequalitySystem,
-    Level,
-    ActiveSetFamily,
-    make_index_set,
-    residuals,
-    max_residual,
-    active_set,
-    realizability,
-    enumerate_active_sets,
-    maximal_sets,
-)
-from .analysis import (
-    Certificate,
-    ErrorBoundVerdict,
-    StabilityVerdict,
-    Perturbation,
-    NoErrorBound,
-    NO_ERROR_BOUND,
-    check_error_bound,
-    check_stability,
-    hoffman_constant_sq,
-    verify_certificate,
-    convex_hull_multipliers,
-    perturb,
-    distance_sq_to_polyhedron,
-    perturbation_ratio_sq,
-    worst_case_system,
-)
-from .sampling import SampleConfig, sample_minmax, directional_derivative, estimate_hoffman
-from .formats import (
-    SystemFileError,
-    parse_scalar_value,
-    parse_vec_data,
-    vec_to_data,
-    parse_system_data,
-    system_to_data,
-    digest_of,
-    load_system,
-    save_system,
-    parse_certificate_data,
-    certificate_to_data,
-    load_certificate,
-    save_certificate,
-    exact_field,
-    sqrt_approx,
-    make_report,
-)
+from . import activesets, analysis, convex, formats, lp, rational, sampling
+from .rational import *
+from .lp import *
+from .convex import *
+from .activesets import *
+from .analysis import *
+from .sampling import *
+from .formats import *
 
 __version__ = "0.1.0"
 
+# Each public name is declared once, by the `__all__` of the module that
+# defines it.
 __all__ = [
-    "Rational",
-    "Vec",
-    "Mat",
-    "LinearSolution",
-    "to_rational",
-    "parse_rational",
-    "format_rational",
-    "rank",
-    "solve_linear",
-    "nullspace",
-    "affine_hull_dim",
-    "LpStatus",
-    "LinearProgram",
-    "LpOutcome",
-    "FarkasCertificate",
-    "FeasibilityResult",
-    "solve_lp",
-    "feasible",
-    "Trichotomy",
-    "MinMaxValue",
-    "minmax_sign",
-    "min_norm_point_sq",
-    "inradius_at_origin_sq",
-    "minmax_value_sq",
-    "IndexSet",
-    "InequalitySystem",
-    "Level",
-    "ActiveSetFamily",
-    "make_index_set",
-    "residuals",
-    "max_residual",
-    "active_set",
-    "realizability",
-    "enumerate_active_sets",
-    "maximal_sets",
-    "Certificate",
-    "ErrorBoundVerdict",
-    "StabilityVerdict",
-    "Perturbation",
-    "NoErrorBound",
-    "NO_ERROR_BOUND",
-    "check_error_bound",
-    "check_stability",
-    "hoffman_constant_sq",
-    "verify_certificate",
-    "convex_hull_multipliers",
-    "perturb",
-    "distance_sq_to_polyhedron",
-    "perturbation_ratio_sq",
-    "worst_case_system",
-    "SampleConfig",
-    "sample_minmax",
-    "directional_derivative",
-    "estimate_hoffman",
-    "SystemFileError",
-    "parse_scalar_value",
-    "parse_vec_data",
-    "vec_to_data",
-    "parse_system_data",
-    "system_to_data",
-    "digest_of",
-    "load_system",
-    "save_system",
-    "parse_certificate_data",
-    "certificate_to_data",
-    "load_certificate",
-    "save_certificate",
-    "exact_field",
-    "sqrt_approx",
-    "make_report",
+    *rational.__all__,
+    *lp.__all__,
+    *convex.__all__,
+    *activesets.__all__,
+    *analysis.__all__,
+    *sampling.__all__,
+    *formats.__all__,
     "__version__",
 ]

@@ -141,45 +141,45 @@ class ActiveSetFamily:
         return make_index_set(indices) in set(self.sets)
 
 
+def _lifted_row(system: InequalitySystem, i: int, level: Level) -> tuple[Fraction, ...]:
+    """Entries of row i (1-based) of the lifted system `A x - t 1 <= b`.
+
+    The positive level keeps the column of the common level t; the zero level
+    pins t = 0, which leaves the row of A unchanged.
+    """
+    entries = system.A.rows[i - 1].entries
+    return entries + (-_ONE,) if level is Level.POSITIVE else entries
+
+
 def realizability(system: InequalitySystem, indices: Iterable[int], level: Level) -> Vec | None:
     """Witness point whose active set is exactly `indices` at the given level.
 
-    The margin program pins the candidate rows to one residual level t (t = 0
-    for the zero level, t >= s for the positive level), forces every other row
-    at least s below it, and maximizes s; the margin is capped at 1 to keep
-    the program bounded, which changes nothing about the sign of its optimum.
-    Returns None when no such point exists.
+    The margin program pins the candidate rows of the lifted system
+    `A x - t 1 <= b` to equality, forces every other row at least a margin s
+    below, and maximizes s.  The positive level keeps t as a variable with
+    s <= t; the zero level pins t = 0 and drops its column.  The margin is
+    capped at 1 to keep the program bounded, which changes nothing about the
+    sign of its optimum.  Returns None when no such point exists.
     """
     index_set = make_index_set(indices)
     system.check_indices(index_set)
     inside = set(index_set)
     n = system.n
 
+    eqs = []
+    ineqs = []
+    for i in range(1, system.m + 1):
+        row = _lifted_row(system, i, level)
+        if i in inside:
+            eqs.append((Vec(row + (_ZERO,)), system.b[i - 1]))
+        else:
+            ineqs.append((Vec(row + (_ONE,)), system.b[i - 1]))
+    width = eqs[0][0].dim  # x, [level t,] margin s
+    s_col = width - 1
     if level is Level.POSITIVE:
-        width = n + 2  # x, level t, margin s
-        t_col, s_col = n, n + 1
-        eqs = []
-        ineqs = []
-        for i in range(1, system.m + 1):
-            row = list(system.A.rows[i - 1].entries)
-            if i in inside:
-                eqs.append((Vec.of(row + [-1, 0]), system.b[i - 1]))
-            else:
-                ineqs.append((Vec.of(row + [-1, 1]), system.b[i - 1]))
         guard = [_ZERO] * width
-        guard[t_col], guard[s_col] = -_ONE, _ONE
+        guard[n], guard[s_col] = -_ONE, _ONE
         ineqs.append((Vec.of(guard), _ZERO))  # s <= t keeps the level positive
-    else:
-        width = n + 1  # x, margin s
-        s_col = n
-        eqs = []
-        ineqs = []
-        for i in range(1, system.m + 1):
-            row = list(system.A.rows[i - 1].entries)
-            if i in inside:
-                eqs.append((Vec.of(row + [0]), system.b[i - 1]))
-            else:
-                ineqs.append((Vec.of(row + [1]), system.b[i - 1]))
     cap = [_ZERO] * width
     cap[s_col] = _ONE
     ineqs.append((Vec.of(cap), _ONE))
@@ -201,12 +201,9 @@ def realizability(system: InequalitySystem, indices: Iterable[int], level: Level
 
 def _equal_level_consistent(system: InequalitySystem, indices: IndexSet, level: Level) -> bool:
     """Consistency of the equality block that pins `indices` to one level."""
-    if level is Level.POSITIVE:
-        rows = [Vec.of(list(system.A.rows[i - 1].entries) + [-1]) for i in indices]
-    else:
-        rows = [system.A.rows[i - 1] for i in indices]
+    rows = tuple(Vec(_lifted_row(system, i, level)) for i in indices)
     rhs = Vec.of([system.b[i - 1] for i in indices])
-    return solve_linear(Mat(tuple(rows)), rhs) is not None
+    return solve_linear(Mat(rows), rhs) is not None
 
 
 def _map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], max_workers: int | None) -> list[_R]:

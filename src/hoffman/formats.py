@@ -34,6 +34,7 @@ __all__ = [
     "save_certificate",
     "exact_field",
     "digest_of",
+    "sqrt_approx",
     "make_report",
 ]
 

@@ -57,22 +57,16 @@ def _coerce_constraints(raw: Sequence[tuple[Vec, RationalLike]], n: int, kind: s
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective . x  subject to  eq rows holding with equality and
-    ineq rows as `coeffs . x <= bound`; optional per-variable lower bounds."""
+    ineq rows as `coeffs . x <= bound`."""
 
     objective: Vec
     eq_constraints: tuple[Constraint, ...] = ()
     ineq_constraints: tuple[Constraint, ...] = ()
-    var_lower_bounds: tuple[Fraction | None, ...] | None = None
 
     def __post_init__(self) -> None:
         n = self.objective.dim
         object.__setattr__(self, "eq_constraints", _coerce_constraints(self.eq_constraints, n, "equality"))
         object.__setattr__(self, "ineq_constraints", _coerce_constraints(self.ineq_constraints, n, "inequality"))
-        if self.var_lower_bounds is not None:
-            bounds = tuple(None if b is None else to_rational(b) for b in self.var_lower_bounds)
-            if len(bounds) != n:
-                raise ValueError(f"expected {n} lower bounds, got {len(bounds)}")
-            object.__setattr__(self, "var_lower_bounds", bounds)
 
     @property
     def n(self) -> int:
@@ -273,7 +267,13 @@ def _solve_ineq_lp(cost: Vec, ineqs: Sequence[Constraint]) -> tuple[LpStatus, Ve
 
 
 def _eliminate_equalities(eqs: Sequence[Constraint], n: int) -> tuple[Vec, list[Vec]] | None:
-    """Particular solution and nullspace basis of the equality block, or None."""
+    """Particular solution and nullspace basis of the equality block, or None.
+
+    An empty block returns the origin and the standard basis, so the program
+    is solved in its own coordinates.
+    """
+    if not eqs:
+        return Vec.zeros(n), [Vec.unit(n, j) for j in range(n)]
     matrix = Mat(tuple(vec for vec, _ in eqs))
     rhs = Vec.of([bound for _, bound in eqs])
     solution = solve_linear(matrix, rhs)
@@ -286,46 +286,31 @@ def _eliminate_equalities(eqs: Sequence[Constraint], n: int) -> tuple[Vec, list[
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact two-phase simplex; deterministic for a fixed input."""
     n = lp.n
-    ineqs: list[Constraint] = list(lp.ineq_constraints)
-    if lp.var_lower_bounds is not None:
-        for j, lower in enumerate(lp.var_lower_bounds):
-            if lower is not None:
-                ineqs.append((Vec.unit(n, j).scale(-1), -lower))
-
-    if lp.eq_constraints:
-        reduced = _eliminate_equalities(lp.eq_constraints, n)
-        if reduced is None:
-            return LpOutcome(LpStatus.INFEASIBLE)
-        origin, kernel = reduced
-        if not kernel:
-            if all(vec.dot(origin) <= bound for vec, bound in ineqs):
-                return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(origin), origin)
-            return LpOutcome(LpStatus.INFEASIBLE)
-        projected = [
-            (Vec.of([vec.dot(kv) for kv in kernel]), bound - vec.dot(origin))
-            for vec, bound in ineqs
-        ]
-        cost = Vec.of([lp.objective.dot(kv) for kv in kernel])
-        status, payload = _solve_ineq_lp(cost, projected)
-        if status is LpStatus.INFEASIBLE:
-            return LpOutcome(LpStatus.INFEASIBLE)
-        assert payload is not None
-        lifted = Vec.zeros(n)
-        for coeff, kv in zip(payload, kernel):
-            if coeff:
-                lifted = lifted + kv.scale(coeff)
-        if status is LpStatus.UNBOUNDED:
-            return LpOutcome(LpStatus.UNBOUNDED, None, lifted)
-        point = origin + lifted
-        return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)
-
-    status, payload = _solve_ineq_lp(lp.objective, ineqs)
+    reduced = _eliminate_equalities(lp.eq_constraints, n)
+    if reduced is None:
+        return LpOutcome(LpStatus.INFEASIBLE)
+    origin, kernel = reduced
+    if not kernel:
+        if all(vec.dot(origin) <= bound for vec, bound in lp.ineq_constraints):
+            return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(origin), origin)
+        return LpOutcome(LpStatus.INFEASIBLE)
+    projected = [
+        (Vec.of([vec.dot(kv) for kv in kernel]), bound - vec.dot(origin))
+        for vec, bound in lp.ineq_constraints
+    ]
+    cost = Vec.of([lp.objective.dot(kv) for kv in kernel])
+    status, payload = _solve_ineq_lp(cost, projected)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     assert payload is not None
+    lifted = Vec.zeros(n)
+    for coeff, kv in zip(payload, kernel):
+        if coeff:
+            lifted = lifted + kv.scale(coeff)
     if status is LpStatus.UNBOUNDED:
-        return LpOutcome(LpStatus.UNBOUNDED, None, payload)
-    return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(payload), payload)
+        return LpOutcome(LpStatus.UNBOUNDED, None, lifted)
+    point = origin + lifted
+    return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)
 
 
 def _farkas_certificate(
@@ -345,12 +330,12 @@ def _farkas_certificate(
         alt_eqs.append((Vec.of(row), _ZERO))
     bounds_row = [bound for _, bound in eqs] + [bound for _, bound in ineqs]
     alt_eqs.append((Vec.of(bounds_row), -_ONE))
-    lower: list[Fraction | None] = [None] * n_eq + [_ZERO] * n_in
+    nonnegative = tuple((Vec.unit(total, j).scale(-1), _ZERO) for j in range(n_eq, total))
     outcome = solve_lp(
         LinearProgram(
             objective=Vec.zeros(total),
             eq_constraints=tuple(alt_eqs),
-            var_lower_bounds=tuple(lower),
+            ineq_constraints=nonnegative,
         )
     )
     if outcome.status is not LpStatus.OPTIMAL or outcome.witness is None:

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Rational",
-    "RationalLike",
     "Vec",
     "Mat",
     "LinearSolution",

@@ -1,5 +1,6 @@
 """Active-set enumeration: residuals, realizability, pruning, maximal sets."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from hoffman import (
     residuals,
     Trichotomy,
 )
+from corpus import system_corpus
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -205,6 +207,19 @@ def test_every_enumerated_witness_is_sound(system):
             assert active_set(system, witness) == indices
             phi = max_residual(system, witness)
             assert (phi > 0) == (level is Level.POSITIVE)
+
+
+def test_corpus_witnesses_at_both_levels_are_pinned():
+    # No CLI output carries the zero-level witnesses, so they are pinned here,
+    # together with the positive-level ones, by one digest over the corpus.
+    digest = hashlib.sha256()
+    for system in system_corpus():
+        for level in (Level.POSITIVE, Level.ZERO):
+            family = enumerate_active_sets(system, level)
+            for indices in family.sets:
+                item = (level.value, indices, family.witnesses[indices].entries)
+                digest.update(repr(item).encode())
+    assert digest.hexdigest() == "12b1c11b32d71dccbc6b8905a7e5ee56243e843c49f43357997c178abcfd267c"
 
 
 def test_worker_threads_do_not_change_the_result():

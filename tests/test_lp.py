@@ -19,10 +19,11 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def lp_1d(objective, ineqs, lower=None):
+    if lower is not None:
+        ineqs = [*ineqs, (-1, -lower)]  # x >= lower
     return LinearProgram(
         objective=Vec.of([objective]),
         ineq_constraints=tuple((Vec.of([c]), b) for c, b in ineqs),
-        var_lower_bounds=None if lower is None else (lower,),
     )
 
 
@@ -60,6 +61,14 @@ def test_unbounded_ray_respects_constraints():
     ray = out.witness
     assert Vec.of([1, 1]).dot(ray) > 0
     assert Vec.of([1, -1]).dot(ray) <= 0
+    # max x + 2y subject to -x <= 0, x - y <= 3: no equalities, no optimum.
+    lp = LinearProgram(
+        objective=Vec.of([1, 2]),
+        ineq_constraints=((Vec.of([-1, 0]), 0), (Vec.of([1, -1]), 3)),
+    )
+    out = solve_lp(lp)
+    assert out.status is LpStatus.UNBOUNDED
+    assert out.witness.entries == (1, 1)
 
 
 def test_equalities_are_eliminated_exactly():
@@ -132,11 +141,6 @@ def test_constraint_dimension_mismatch():
         LinearProgram(objective=Vec.of([1]), ineq_constraints=((Vec.of([1, 2]), 0),))
 
 
-def test_lower_bound_count_mismatch():
-    with pytest.raises(ValueError):
-        LinearProgram(objective=Vec.of([1, 2]), var_lower_bounds=(0,))
-
-
 # -- feasibility and Farkas certificates -------------------------------------------
 
 
@@ -174,6 +178,7 @@ def test_feasible_wedge_system():
     assert result.is_feasible
     x = result.point
     assert Vec.of([1, 1]).dot(x) <= 0 and Vec.of([-1, -1]).dot(x) <= 0
+    assert x.entries == (0, 0)
 
 
 def test_feasible_empty_system_needs_dimension():
@@ -205,6 +210,7 @@ def test_farkas_certificate_for_crossing_halflines():
     result = feasible((), ineqs)
     assert not result.is_feasible
     check_farkas([], ineqs, result.certificate)
+    assert result.certificate.ineq_multipliers.entries == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_farkas_certificate_with_equalities():
@@ -213,6 +219,8 @@ def test_farkas_certificate_with_equalities():
     result = feasible(eqs, ineqs)
     assert not result.is_feasible
     check_farkas(eqs, ineqs, result.certificate)
+    assert result.certificate.eq_multipliers.entries == (Fraction(-1, 2),)
+    assert result.certificate.ineq_multipliers.entries == (Fraction(1, 2), Fraction(1, 2))
 
 
 @st.composite
@@ -287,7 +295,7 @@ def test_strong_duality_on_random_programs(lp):
     dual = LinearProgram(
         objective=Vec.of([-bound for _, bound in lp.ineq_constraints]),
         eq_constraints=dual_eqs,
-        var_lower_bounds=tuple(Fraction(0) for _ in range(m)),
+        ineq_constraints=tuple((Vec.unit(m, j).scale(-1), 0) for j in range(m)),  # y >= 0
     )
     dual_out = solve_lp(dual)
     assert dual_out.status is LpStatus.OPTIMAL
@@ -319,8 +327,10 @@ def test_determinism_for_fixed_input():
             (Vec.of([1, 1, 0]), 2),
             (Vec.of([0, 1, 1]), 2),
             (Vec.of([1, 0, 1]), 2),
+            (Vec.of([-1, 0, 0]), 0),
+            (Vec.of([0, -1, 0]), 0),
+            (Vec.of([0, 0, -1]), 0),
         ),
-        var_lower_bounds=(0, 0, 0),
     )
     first = solve_lp(lp)
     second = solve_lp(lp)
