@@ -2,11 +2,30 @@
 
 Works entirely over the rationals, so every verdict (optimal / infeasible /
 unbounded) is exact and every witness can be checked by substitution.
-Equality constraints are eliminated up front by exact Gaussian elimination,
-free variables are split into nonnegative pairs, and the remaining
-inequality-only program runs on a dense tableau.  Bland's pivoting rule rules
-out cycling without any perturbation tricks, and the whole pipeline is
-deterministic for a fixed input.
+Equality constraints are eliminated up front by one exact Gauss-Jordan
+elimination of `[A_eq | b_eq]` (`rational.solve_affine`), which gives a
+particular solution and a kernel basis; free variables are split into
+nonnegative pairs, and the remaining inequality-only program runs on a dense
+tableau.  Bland's pivoting rule rules out cycling without any perturbation
+tricks, and the whole pipeline is deterministic for a fixed input.
+
+The tableau is fraction-free: it holds Python integers only, in the manner
+of Edmonds (1967) and Avis's lrs.  Each kernel vector is scaled by the least
+common multiple of its denominators, which only rescales its column, and
+each inequality row is scaled to integers together with its bound.  The
+invariant is that every tableau row, and the objective row, is a positive
+multiple of the row the same simplex holds over `Fraction`; slack and
+artificial entries carry the row's scale rather than 1, so neither the
+phase-one objective nor a ray along a slack is reweighted.  A pivot turns
+the pivot row to a positive pivot p and replaces every other row by
+`(p * row - f * prow) / gcd`, with f the row's entry in the entering column.
+Bland's rule reads only signs and ratios, which positive row multiples keep:
+the entering column is the first with a positive objective entry, and the
+leaving row minimises `rhs_r / a_r`, compared by cross-multiplying (every
+`a_r` is positive), with ties going to the lower basis index.  So the pivot
+sequence, and every witness and ray, is the one the `Fraction` tableau
+produces (`tests/oracles.py` keeps that tableau as the reference).  Values
+are read out exactly at the end, as `Fraction(rhs, basic entry)`.
 """
 
 from __future__ import annotations
@@ -14,9 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
-from .rational import RationalLike, Vec, Mat, nullspace, solve_linear, to_rational
+from .rational import RationalLike, Vec, solve_affine, to_rational
 
 __all__ = [
     "LpStatus",
@@ -106,25 +127,43 @@ class FeasibilityResult:
         return self.point is not None
 
 
-def _pivot(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int], leave: int, enter: int) -> None:
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (an all-zero row stays)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _eliminate(row: list[int], f: int, prow: list[int], p: int) -> list[int]:
+    """`(p*row - f*prow) / gcd`: clears the pivot column for a pivot p > 0."""
+    return _reduced([p * a - f * b for a, b in zip(row, prow)])
+
+
+def _pivot(tab: list[list[int]], obj: list[int], basis: list[int], leave: int, enter: int) -> None:
     prow = tab[leave]
-    piv = prow[enter]
-    if piv != 1:
-        prow = [v / piv for v in prow]
-        tab[leave] = prow
-    for r in range(len(tab)):
-        if r != leave:
-            row = tab[r]
-            f = row[enter]
-            if f:
-                tab[r] = [a - f * b for a, b in zip(row, prow)]
+    p = prow[enter]
+    if p < 0:
+        p = -p
+        prow = tab[leave] = [-v for v in prow]
+    for r, row in enumerate(tab):
+        f = row[enter]
+        if f and r != leave:
+            tab[r] = _eliminate(row, f, prow, p)
     f = obj[enter]
     if f:
-        obj[:] = [a - f * b for a, b in zip(obj, prow)]
+        obj[:] = _eliminate(obj, f, prow, p)
     basis[leave] = enter
 
 
-def _optimize(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int]) -> int | None:
+def _price_out(obj: list[int], tab: list[list[int]], basis: list[int]) -> list[int]:
+    """The objective row with every basic column cleared."""
+    for row, col in zip(tab, basis):
+        f = obj[col]
+        if f:
+            obj = _eliminate(obj, f, row, row[col])
+    return obj
+
+
+def _optimize(tab: list[list[int]], obj: list[int], basis: list[int]) -> int | None:
     """Pivot to optimality under Bland's rule.
 
     Returns None at an optimum, or the entering column index when the
@@ -136,19 +175,17 @@ def _optimize(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int]) 
         enter = next((j for j in range(ncols) if obj[j] > 0), None)
         if enter is None:
             return None
-        best_ratio: Fraction | None = None
         leave: int | None = None
         for r, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and leave is not None and basis[r] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = r
+                if leave is None:
+                    leave, lead_rhs, lead_a = r, row[-1], a
+                    continue
+                # row[-1] / a < lead_rhs / lead_a, cross-multiplied (a, lead_a > 0)
+                here, lead = row[-1] * lead_a, lead_rhs * a
+                if here < lead or (here == lead and basis[r] < basis[leave]):
+                    leave, lead_rhs, lead_a = r, row[-1], a
         if leave is None:
             return enter
         _pivot(tab, obj, basis, leave, enter)
@@ -157,68 +194,67 @@ def _optimize(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int]) 
             raise RuntimeError("simplex pivot bound exceeded")
 
 
-def _solve_ineq_lp(cost: Vec, ineqs: Sequence[Constraint]) -> tuple[LpStatus, Vec | None]:
-    """Maximize `cost . q` over {q : coeffs . q <= bound}, all variables free.
+def _solve_ineq_lp(
+    cost: list[int], rows: list[tuple[list[int], int, int]], col_scales: Sequence[int], cost_scale: int
+) -> tuple[LpStatus, list[Fraction] | None]:
+    """Maximize `cost . q` over {q : coeffs . q <= rhs}, all variables free.
 
-    Returns (status, optimal point | improving ray | None).
+    Each row `(coeffs, rhs, scale)` stands for the rational row
+    `(coeffs . q <= rhs) / scale`, and `cost` for `cost / cost_scale`.
+    Coordinate j is the kernel coordinate of `solve_lp` divided by
+    `col_scales[j]`, which only rescales tableau columns.  Returns (status,
+    point | ray | None) in these coordinates; a ray is the one the tableau
+    over the unscaled coordinates finds.
     """
-    k = cost.dim
-    rows: list[Constraint] = []
-    for coeffs, bound in ineqs:
-        if coeffs.is_zero():
-            if bound < 0:
+    k = len(cost)
+    kept: list[tuple[list[int], int, int]] = []
+    for coeffs, rhs, scale in rows:
+        if not any(coeffs):
+            if rhs < 0:
                 return LpStatus.INFEASIBLE, None
             continue  # vacuous row
-        rows.append((coeffs, bound))
+        kept.append((coeffs, rhs, scale))
 
-    if not rows:
-        if cost.is_zero():
-            return LpStatus.OPTIMAL, Vec.zeros(k)
-        return LpStatus.UNBOUNDED, cost  # unconstrained: the cost vector improves
+    if not kept:
+        if not any(cost):
+            return LpStatus.OPTIMAL, [_ZERO] * k
+        # unconstrained: the unscaled cost vector improves
+        return LpStatus.UNBOUNDED, [Fraction(c, cost_scale * s * s) for c, s in zip(cost, col_scales)]
 
     # Standard form: q = u - v with u, v >= 0, one slack per row, artificials
-    # only for rows whose right-hand side had to be negated.
-    nrows = len(rows)
+    # only for rows whose right-hand side had to be negated.  Slack and
+    # artificial entries carry the row's scale, so every row is a positive
+    # multiple of its rational counterpart.
+    nrows = len(kept)
     nstruct = 2 * k
-    negated = [bound < 0 for _, bound in rows]
-    n_art = sum(negated)
-    width = nstruct + nrows + n_art
-
-    art_col: dict[int, int] = {}
-    next_art = nstruct + nrows
-    for r, flag in enumerate(negated):
-        if flag:
-            art_col[r] = next_art
-            next_art += 1
-
-    tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    for r, (coeffs, bound) in enumerate(rows):
-        sign = -_ONE if negated[r] else _ONE
-        row = [_ZERO] * (width + 1)
-        for j in range(k):
-            c = coeffs[j]
-            if c:
-                row[j] = sign * c
-                row[k + j] = -sign * c
-        row[nstruct + r] = sign
-        row[-1] = sign * bound
-        if negated[r]:
-            row[art_col[r]] = _ONE
-            basis.append(art_col[r])
-        else:
-            basis.append(nstruct + r)
-        tab.append(row)
-
     art_start = nstruct + nrows
+    width = art_start + sum(rhs < 0 for _, rhs, _ in kept)
 
-    if n_art:
-        obj = [_ZERO] * (width + 1)
-        for c in range(art_start, width):
-            obj[c] = -_ONE
-        for r in range(nrows):
-            if basis[r] >= art_start:
-                obj = [a + b for a, b in zip(obj, tab[r])]
+    tab: list[list[int]] = []
+    basis: list[int] = []
+    next_art = art_start
+    for r, (coeffs, rhs, scale) in enumerate(kept):
+        row = [0] * (width + 1)
+        if rhs < 0:
+            row[:k] = [-c for c in coeffs]
+            row[k:nstruct] = coeffs
+            row[nstruct + r] = -scale
+            row[next_art] = scale
+            row[-1] = -rhs
+            basis.append(next_art)
+            next_art += 1
+        else:
+            row[:k] = coeffs
+            row[k:nstruct] = [-c for c in coeffs]
+            row[nstruct + r] = scale
+            row[-1] = rhs
+            basis.append(nstruct + r)
+        tab.append(_reduced(row))
+
+    if width > art_start:
+        obj = [0] * (width + 1)
+        obj[art_start:width] = [-1] * (width - art_start)
+        obj = _price_out(obj, tab, basis)
         if _optimize(tab, obj, basis) is not None:
             raise RuntimeError("phase one cannot be unbounded")
         if any(basis[r] >= art_start and tab[r][-1] != 0 for r in range(len(tab))):
@@ -237,56 +273,54 @@ def _solve_ineq_lp(cost: Vec, ineqs: Sequence[Constraint]) -> tuple[LpStatus, Ve
             del basis[r]
         tab = [row[:art_start] + [row[-1]] for row in tab]
 
-    width = art_start
-    cost_std = [_ZERO] * (width + 1)
-    for j in range(k):
-        c = cost[j]
-        if c:
-            cost_std[j] = c
-            cost_std[k + j] = -c
-    obj = cost_std[:]
-    for r in range(len(tab)):
-        cb = cost_std[basis[r]]
-        if cb:
-            obj = [a - cb * b for a, b in zip(obj, tab[r])]
+    obj = [0] * (art_start + 1)
+    obj[:k] = cost
+    obj[k:nstruct] = [-c for c in cost]
+    obj = _price_out(obj, tab, basis)
 
     enter = _optimize(tab, obj, basis)
+    values = [_ZERO] * art_start
     if enter is None:
-        values = [_ZERO] * width
-        for r, col in enumerate(basis):
-            values[col] = tab[r][-1]
-        point = Vec.of([values[j] - values[k + j] for j in range(k)])
-        return LpStatus.OPTIMAL, point
+        for row, col in zip(tab, basis):
+            values[col] = Fraction(row[-1], row[col])
+        return LpStatus.OPTIMAL, [values[j] - values[k + j] for j in range(k)]
 
-    ray_vals = [_ZERO] * width
-    ray_vals[enter] = _ONE
-    for r, col in enumerate(basis):
-        ray_vals[col] = -tab[r][enter]
-    ray = Vec.of([ray_vals[j] - ray_vals[k + j] for j in range(k)])
-    return LpStatus.UNBOUNDED, ray
+    # The scaled tableau's ray moves the entering variable by 1, which is
+    # its column scale times the unscaled tableau's step.
+    step = col_scales[enter % k] if enter < nstruct else 1
+    values[enter] = Fraction(1, step)
+    for row, col in zip(tab, basis):
+        values[col] = Fraction(-row[enter], row[col] * step)
+    return LpStatus.UNBOUNDED, [values[j] - values[k + j] for j in range(k)]
 
 
-def _eliminate_equalities(eqs: Sequence[Constraint], n: int) -> tuple[Vec, list[Vec]] | None:
-    """Particular solution and nullspace basis of the equality block, or None.
+def _integers(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """`(scale * values, scale)` for the least positive integer scale."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[q for _, q in ratios])
+    if scale == 1:
+        return [p for p, _ in ratios], 1
+    return [p * (scale // q) for p, q in ratios], scale
 
-    An empty block returns the origin and the standard basis, so the program
-    is solved in its own coordinates.
-    """
-    if not eqs:
-        return Vec.zeros(n), [Vec.unit(n, j) for j in range(n)]
-    matrix = Mat(tuple(vec for vec, _ in eqs))
-    rhs = Vec.of([bound for _, bound in eqs])
-    solution = solve_linear(matrix, rhs)
-    if solution is None:
-        return None
-    kernel = nullspace([vec for vec, _ in eqs], n)
-    return solution.point, kernel
+
+def _dot(a: Iterable[int], b: Iterable[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _combination(coords: list[Fraction], kernel: Sequence[list[int]], n: int) -> tuple[list[int], int]:
+    """`sum_j coords[j] * kernel[j]` as integer numerators over one denominator."""
+    nums, den = _integers(coords)
+    total = [0] * n
+    for q, kv in zip(nums, kernel):
+        if q:
+            total = [t + q * v for t, v in zip(total, kv)]
+    return total, den
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact two-phase simplex; deterministic for a fixed input."""
     n = lp.n
-    reduced = _eliminate_equalities(lp.eq_constraints, n)
+    reduced = solve_affine([vec for vec, _ in lp.eq_constraints], [b for _, b in lp.eq_constraints], n)
     if reduced is None:
         return LpOutcome(LpStatus.INFEASIBLE)
     origin, kernel = reduced
@@ -294,22 +328,31 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         if all(vec.dot(origin) <= bound for vec, bound in lp.ineq_constraints):
             return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(origin), origin)
         return LpOutcome(LpStatus.INFEASIBLE)
-    projected = [
-        (Vec.of([vec.dot(kv) for kv in kernel]), bound - vec.dot(origin))
-        for vec, bound in lp.ineq_constraints
-    ]
-    cost = Vec.of([lp.objective.dot(kv) for kv in kernel])
-    status, payload = _solve_ineq_lp(cost, projected)
+    # x = origin + sum_j q_j * int_kernel[j], where int_kernel[j] is kernel[j]
+    # times col_scales[j]; the tableau works in the coordinates q.
+    int_kernel, col_scales = zip(*map(_integers, kernel))
+    int_origin, origin_den = _integers(origin)
+    rows = []
+    for vec, bound in lp.ineq_constraints:
+        # vec . x <= bound, in the coordinates q, times origin_den * row_den
+        ints, row_den = _integers(vec.entries + (bound,))
+        a = ints[:-1]
+        rows.append((
+            [origin_den * _dot(a, kv) for kv in int_kernel],
+            ints[-1] * origin_den - _dot(a, int_origin),
+            origin_den * row_den,
+        ))
+    c, cost_scale = _integers(lp.objective)
+    status, coords = _solve_ineq_lp([_dot(c, kv) for kv in int_kernel], rows, col_scales, cost_scale)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
-    assert payload is not None
-    lifted = Vec.zeros(n)
-    for coeff, kv in zip(payload, kernel):
-        if coeff:
-            lifted = lifted + kv.scale(coeff)
+    assert coords is not None
+    total, den = _combination(coords, int_kernel, n)
     if status is LpStatus.UNBOUNDED:
-        return LpOutcome(LpStatus.UNBOUNDED, None, lifted)
-    point = origin + lifted
+        return LpOutcome(LpStatus.UNBOUNDED, None, Vec(tuple(Fraction(t, den) for t in total)))
+    point = Vec(tuple(
+        Fraction(o * den + t * origin_den, origin_den * den) for o, t in zip(int_origin, total)
+    ))
     return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)
 
 

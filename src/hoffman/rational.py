@@ -263,10 +263,7 @@ def solve_linear(matrix: Mat, rhs: Vec) -> LinearSolution | None:
     reduced, pivots = _rref(aug)
     if any(p == n for p in pivots):
         return None
-    point = [_ZERO] * n
-    for row_index, col in enumerate(pivots):
-        point[col] = reduced[row_index][n]
-    return LinearSolution(Vec.of(point), unique=len(pivots) == n)
+    return LinearSolution(_particular_solution(reduced, pivots, n), unique=len(pivots) == n)
 
 
 def nullspace(rows: Sequence[Vec], dim: int) -> list[Vec]:
@@ -281,7 +278,36 @@ def nullspace(rows: Sequence[Vec], dim: int) -> list[Vec]:
         raise ValueError("nullspace: rows must share the stated dimension")
     if not listed:
         return [Vec.unit(dim, j) for j in range(dim)]
-    reduced, pivots = _rref(listed)
+    return _kernel_basis(*_rref(listed), dim)
+
+
+def solve_affine(rows: Sequence[Vec], rhs: Sequence[Fraction], dim: int) -> tuple[Vec, list[Vec]] | None:
+    """Particular solution and kernel basis of {x : rows x = rhs}, or None.
+
+    Both come from one Gauss-Jordan elimination of `[rows | rhs]` and equal
+    `solve_linear(...).point` and `nullspace(rows, dim)`; an inconsistent
+    block returns None, and an empty one the origin and the standard basis.
+    The rows must have dimension `dim`.  `lp.solve_lp` eliminates its
+    equality block with it; it is not part of the package surface.
+    """
+    if not rows:
+        return Vec.zeros(dim), [Vec.unit(dim, j) for j in range(dim)]
+    reduced, pivots = _rref([list(row.entries) + [b] for row, b in zip(rows, rhs)])
+    if any(p == dim for p in pivots):
+        return None
+    return _particular_solution(reduced, pivots, dim), _kernel_basis(reduced, pivots, dim)
+
+
+def _particular_solution(reduced: list[list[Fraction]], pivots: list[int], n: int) -> Vec:
+    """The solution of a reduced `[M | rhs]` whose free variables are zero."""
+    point = [_ZERO] * n
+    for row_index, col in enumerate(pivots):
+        point[col] = reduced[row_index][n]
+    return Vec.of(point)
+
+
+def _kernel_basis(reduced: list[list[Fraction]], pivots: list[int], dim: int) -> list[Vec]:
+    """One kernel vector per free column of a reduced matrix, in column order."""
     pivot_set = set(pivots)
     basis: list[Vec] = []
     for free_col in range(dim):

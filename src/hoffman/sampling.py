@@ -5,18 +5,22 @@ test suite can compare rational results against brute-force sampling, and so
 the command line can report a quick empirical ratio estimate.  Sampling is
 chunked but strictly sequential per seed, so results are reproducible
 bit-for-bit for a fixed seed and sample count.
+
+numpy is imported inside the functions that sample, so importing the
+package (and every exact command) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .activesets import InequalitySystem, active_set
 from .rational import Vec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SampleConfig",
@@ -43,11 +47,15 @@ class SampleConfig:
 
 
 def _float_matrix(points: Sequence[Vec]) -> np.ndarray:
+    import numpy as np
+
     return np.array([[float(entry) for entry in p] for p in points], dtype=float)
 
 
 def sample_minmax(points: Sequence[Vec], config: SampleConfig) -> float:
     """Upper bound on the worst-direction value via random unit directions."""
+    import numpy as np
+
     if not points:
         raise ValueError("point set must be nonempty")
     data = _float_matrix(points)
@@ -77,6 +85,8 @@ def directional_derivative(system: InequalitySystem, x: Vec, direction: Sequence
     Closed form: the largest slope among the rows active at x.  The active
     set is computed exactly; only the slope evaluation is floating point.
     """
+    import numpy as np
+
     indices = active_set(system, x)
     h = np.asarray([float(v) for v in direction], dtype=float)
     if h.shape[0] != system.n:
@@ -87,6 +97,8 @@ def directional_derivative(system: InequalitySystem, x: Vec, direction: Sequence
 
 def _subset_projectors(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per nonempty row subset: (row selector, normal-equation projector)."""
+    import numpy as np
+
     m = a.shape[0]
     projectors = []
     for size in range(1, m + 1):
@@ -99,6 +111,8 @@ def _subset_projectors(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _distances(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Distance from each sample to {x : a x <= b} by subset projection."""
+    import numpy as np
+
     best = np.full(xs.shape[0], np.inf)
     for combo, projector in _subset_projectors(a):
         shortfall = b[combo][None, :] - xs @ a[combo].T
@@ -119,6 +133,8 @@ def estimate_hoffman(system: InequalitySystem, config: SampleConfig) -> float | 
     Requires a nonempty solution set; returns None when no sampled point is
     infeasible (reported, not fatal).
     """
+    import numpy as np
+
     a = _float_matrix(system.A.rows)
     b = np.array([float(v) for v in system.b], dtype=float)
     rng = np.random.default_rng(config.seed)

@@ -6,8 +6,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from hoffman import Mat, Vec, solve_linear
+from hoffman import LinearProgram, LpOutcome, LpStatus, Mat, Vec, nullspace, solve_linear
+from hoffman.lp import _MAX_PIVOTS, Constraint
 from hoffman.rational import _row_rank
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _project_origin_onto_spanned_face(subset: Sequence[Vec], dim: int) -> tuple[Vec, Fraction] | None:
@@ -59,3 +63,214 @@ def min_norm_point_by_faces(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
                 best = candidate
     assert best is not None  # singletons always produce candidates
     return best
+
+
+# -- exact simplex over Fraction ------------------------------------------------
+
+
+def _pivot(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int], leave: int, enter: int) -> None:
+    prow = tab[leave]
+    piv = prow[enter]
+    if piv != 1:
+        prow = [v / piv for v in prow]
+        tab[leave] = prow
+    for r in range(len(tab)):
+        if r != leave:
+            row = tab[r]
+            f = row[enter]
+            if f:
+                tab[r] = [a - f * b for a, b in zip(row, prow)]
+    f = obj[enter]
+    if f:
+        obj[:] = [a - f * b for a, b in zip(obj, prow)]
+    basis[leave] = enter
+
+
+def _optimize(tab: list[list[Fraction]], obj: list[Fraction], basis: list[int]) -> int | None:
+    """Pivot to optimality under Bland's rule.
+
+    Returns None at an optimum, or the entering column index when the
+    objective is unbounded above.
+    """
+    ncols = len(obj) - 1  # trailing slot mirrors the rhs and is ignored
+    pivots = 0
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        if enter is None:
+            return None
+        best_ratio: Fraction | None = None
+        leave: int | None = None
+        for r, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and leave is not None and basis[r] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = r
+        if leave is None:
+            return enter
+        _pivot(tab, obj, basis, leave, enter)
+        pivots += 1
+        if pivots > _MAX_PIVOTS:
+            raise RuntimeError("simplex pivot bound exceeded")
+
+
+def _solve_ineq_lp(cost: Vec, ineqs: Sequence[Constraint]) -> tuple[LpStatus, Vec | None]:
+    """Maximize `cost . q` over {q : coeffs . q <= bound}, all variables free.
+
+    Returns (status, optimal point | improving ray | None).
+    """
+    k = cost.dim
+    rows: list[Constraint] = []
+    for coeffs, bound in ineqs:
+        if coeffs.is_zero():
+            if bound < 0:
+                return LpStatus.INFEASIBLE, None
+            continue  # vacuous row
+        rows.append((coeffs, bound))
+
+    if not rows:
+        if cost.is_zero():
+            return LpStatus.OPTIMAL, Vec.zeros(k)
+        return LpStatus.UNBOUNDED, cost  # unconstrained: the cost vector improves
+
+    # Standard form: q = u - v with u, v >= 0, one slack per row, artificials
+    # only for rows whose right-hand side had to be negated.
+    nrows = len(rows)
+    nstruct = 2 * k
+    negated = [bound < 0 for _, bound in rows]
+    n_art = sum(negated)
+    width = nstruct + nrows + n_art
+
+    art_col: dict[int, int] = {}
+    next_art = nstruct + nrows
+    for r, flag in enumerate(negated):
+        if flag:
+            art_col[r] = next_art
+            next_art += 1
+
+    tab: list[list[Fraction]] = []
+    basis: list[int] = []
+    for r, (coeffs, bound) in enumerate(rows):
+        sign = -_ONE if negated[r] else _ONE
+        row = [_ZERO] * (width + 1)
+        for j in range(k):
+            c = coeffs[j]
+            if c:
+                row[j] = sign * c
+                row[k + j] = -sign * c
+        row[nstruct + r] = sign
+        row[-1] = sign * bound
+        if negated[r]:
+            row[art_col[r]] = _ONE
+            basis.append(art_col[r])
+        else:
+            basis.append(nstruct + r)
+        tab.append(row)
+
+    art_start = nstruct + nrows
+
+    if n_art:
+        obj = [_ZERO] * (width + 1)
+        for c in range(art_start, width):
+            obj[c] = -_ONE
+        for r in range(nrows):
+            if basis[r] >= art_start:
+                obj = [a + b for a, b in zip(obj, tab[r])]
+        if _optimize(tab, obj, basis) is not None:
+            raise RuntimeError("phase one cannot be unbounded")
+        if any(basis[r] >= art_start and tab[r][-1] != 0 for r in range(len(tab))):
+            return LpStatus.INFEASIBLE, None
+        # Drive zero-valued artificials out; rows that cannot pivot are redundant.
+        drop: list[int] = []
+        for r in range(len(tab)):
+            if basis[r] >= art_start:
+                enter = next((j for j in range(art_start) if tab[r][j] != 0), None)
+                if enter is None:
+                    drop.append(r)
+                else:
+                    _pivot(tab, obj, basis, r, enter)
+        for r in reversed(drop):
+            del tab[r]
+            del basis[r]
+        tab = [row[:art_start] + [row[-1]] for row in tab]
+
+    width = art_start
+    cost_std = [_ZERO] * (width + 1)
+    for j in range(k):
+        c = cost[j]
+        if c:
+            cost_std[j] = c
+            cost_std[k + j] = -c
+    obj = cost_std[:]
+    for r in range(len(tab)):
+        cb = cost_std[basis[r]]
+        if cb:
+            obj = [a - cb * b for a, b in zip(obj, tab[r])]
+
+    enter = _optimize(tab, obj, basis)
+    if enter is None:
+        values = [_ZERO] * width
+        for r, col in enumerate(basis):
+            values[col] = tab[r][-1]
+        point = Vec.of([values[j] - values[k + j] for j in range(k)])
+        return LpStatus.OPTIMAL, point
+
+    ray_vals = [_ZERO] * width
+    ray_vals[enter] = _ONE
+    for r, col in enumerate(basis):
+        ray_vals[col] = -tab[r][enter]
+    ray = Vec.of([ray_vals[j] - ray_vals[k + j] for j in range(k)])
+    return LpStatus.UNBOUNDED, ray
+
+
+def _eliminate_equalities(eqs: Sequence[Constraint], n: int) -> tuple[Vec, list[Vec]] | None:
+    """Particular solution and nullspace basis of the equality block, or None.
+
+    An empty block returns the origin and the standard basis, so the program
+    is solved in its own coordinates.
+    """
+    if not eqs:
+        return Vec.zeros(n), [Vec.unit(n, j) for j in range(n)]
+    matrix = Mat(tuple(vec for vec, _ in eqs))
+    rhs = Vec.of([bound for _, bound in eqs])
+    solution = solve_linear(matrix, rhs)
+    if solution is None:
+        return None
+    kernel = nullspace([vec for vec, _ in eqs], n)
+    return solution.point, kernel
+
+
+def fraction_solve_lp(lp: LinearProgram) -> LpOutcome:
+    """Exact two-phase simplex over `Fraction`: the tableau `solve_lp` ran
+    before it became fraction-free, kept as its reference."""
+    n = lp.n
+    reduced = _eliminate_equalities(lp.eq_constraints, n)
+    if reduced is None:
+        return LpOutcome(LpStatus.INFEASIBLE)
+    origin, kernel = reduced
+    if not kernel:
+        if all(vec.dot(origin) <= bound for vec, bound in lp.ineq_constraints):
+            return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(origin), origin)
+        return LpOutcome(LpStatus.INFEASIBLE)
+    projected = [
+        (Vec.of([vec.dot(kv) for kv in kernel]), bound - vec.dot(origin))
+        for vec, bound in lp.ineq_constraints
+    ]
+    cost = Vec.of([lp.objective.dot(kv) for kv in kernel])
+    status, payload = _solve_ineq_lp(cost, projected)
+    if status is LpStatus.INFEASIBLE:
+        return LpOutcome(LpStatus.INFEASIBLE)
+    assert payload is not None
+    lifted = Vec.zeros(n)
+    for coeff, kv in zip(payload, kernel):
+        if coeff:
+            lifted = lifted + kv.scale(coeff)
+    if status is LpStatus.UNBOUNDED:
+        return LpOutcome(LpStatus.UNBOUNDED, None, lifted)
+    point = origin + lifted
+    return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)

@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import hoffman
 import hoffman.convex
 from hoffman import InequalitySystem, save_system
 from hoffman.cli import main
@@ -265,12 +268,39 @@ def test_thread_env_variable(monkeypatch, triangle_file):
         assert "HOFFMAN_THREADS" in err
 
 
+def _package_env():
+    """The environment with the imported package's parent directory first on
+    PYTHONPATH, so a child interpreter imports the same `hoffman`."""
+    parent = str(Path(hoffman.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [parent, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_installed_entry_point_smoke(triangle_file):
     proc = subprocess.run(
         [sys.executable, "-m", "hoffman.cli", "check-eb", triangle_file],
         capture_output=True,
         text=True,
+        env=_package_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["sigma_sq"]["exact"] == "1/2"
+
+
+def test_numpy_is_loaded_only_by_sampling(triangle_file):
+    script = (
+        "import sys, hoffman, hoffman.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
+        "code = hoffman.cli.main(['estimate', sys.argv[1], '--samples', '200', '--seed', '0'])\n"
+        "assert 'numpy' in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, triangle_file],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["estimate"] > 0

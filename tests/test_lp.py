@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fraction_solve_lp
 from scipy.optimize import linprog
 
 from hoffman import (
@@ -336,3 +337,132 @@ def test_determinism_for_fixed_input():
     second = solve_lp(lp)
     assert first == second
     assert first.optimal_value == 3
+
+
+# -- the integer tableau against the Fraction tableau ----------------------------
+
+
+def _lp(objective, eqs=(), ineqs=()):
+    return LinearProgram(
+        objective=Vec.of(objective),
+        eq_constraints=tuple((Vec.of(c), b) for c, b in eqs),
+        ineq_constraints=tuple((Vec.of(c), b) for c, b in ineqs),
+    )
+
+
+ORACLE_CASES = {
+    # 2x + 3y - z = 1/2 has the kernel (-3/2, 1, 0), (1/2, 0, 1)
+    "fractional-kernel-optimal": (
+        _lp([1, "1/3", 1], [([2, 3, -1], "1/2")],
+            [([1, 0, 0], 1), ([0, 1, 0], 1), ([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, 1], "5/3")]),
+        LpStatus.OPTIMAL,
+    ),
+    "fractional-kernel-ray": (
+        _lp([-1, 0, 0], [([2, 3, 0], 0)], [([0, 0, 1], 1)]),
+        LpStatus.UNBOUNDED,
+    ),
+    "slack-entering-ray": (
+        _lp([1, 1], [], [([1, -1], 0), (["1/2", "-1/3"], "1/5")]),
+        LpStatus.UNBOUNDED,
+    ),
+    "phase-one-optimal": (
+        _lp([-1, -2], [], [([-1, -1], -1), ([1, 0], 3), ([0, 1], "2/3"), (["-1/2", 1], "-1/4")]),
+        LpStatus.OPTIMAL,
+    ),
+    "phase-one-infeasible": (
+        _lp([1, 0], [], [([-1, -1], -3), ([1, 0], 1), ([0, 1], 1)]),
+        LpStatus.INFEASIBLE,
+    ),
+    "zero-rows": (
+        _lp([1, 1], [], [([0, 0], 1), ([1, 0], 2), ([0, 0], 0), ([0, 1], "3/2")]),
+        LpStatus.OPTIMAL,
+    ),
+    "zero-row-negative-bound": (
+        _lp([1], [], [([0], "-1/2"), ([1], 1)]),
+        LpStatus.INFEASIBLE,
+    ),
+    # every row vanishes on the kernel (-3/2, 1), so the unscaled cost is the ray
+    "no-row-left-ray": (
+        _lp([1, 1], [([2, 3], 1)], [([2, 3], 4)]),
+        LpStatus.UNBOUNDED,
+    ),
+    "no-row-left-zero-cost": (
+        _lp([2, 3], [([2, 3], 1)], [([4, 6], 4)]),
+        LpStatus.OPTIMAL,
+    ),
+    "degenerate-ties": (
+        _lp([1, 1], [], [([2, 0], 2), ([1, 0], 1), ([3, 3], 3), ([1, -1], 1),
+                         (["1/2", "1/2"], "1/2"), ([-1, 0], 0)]),
+        LpStatus.OPTIMAL,
+    ),
+    # the ray enters the slack of a row scaled by 5
+    "slack-scale-ray": (
+        _lp(["4/3"], [], [(["-2/5"], "-2/5")]),
+        LpStatus.UNBOUNDED,
+    ),
+    "slack-scale-ray-after-phase-one": (
+        _lp([0, 5], [], [(["3/5", "-5/3"], 0), ([-1, 0], "-3/2")]),
+        LpStatus.UNBOUNDED,
+    ),
+    # the artificial of the second row stays basic at zero and leaves on a
+    # negative pivot
+    "negative-drive-out-pivot": (
+        _lp([-1], [], [(["1/4"], "1/4"), ([-2], -2)]),
+        LpStatus.OPTIMAL,
+    ),
+    # both phase-one rows tie in the ratio test
+    "ratio-tie-break": (
+        _lp([-1], [], [(["2/3"], "-8/3"), ([1], -4)]),
+        LpStatus.UNBOUNDED,
+    ),
+    "degenerate-phase-one": (
+        _lp([1, 0, -1], [([1, 1, 1], 1)],
+            [([-1, 0, 0], -1), ([0, -1, 0], 0), ([0, 0, -1], 0), ([-2, 0, 0], -2)]),
+        LpStatus.OPTIMAL,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_integer_tableau_matches_fraction_tableau_on_named_programs(name):
+    lp, status = ORACLE_CASES[name]
+    out = solve_lp(lp)
+    assert out.status is status
+    assert out == fraction_solve_lp(lp)
+
+
+@st.composite
+def oracle_lps(draw):
+    """Programs that reach every branch of the tableau: equality blocks with
+    fractional kernels (consistent or not), negative bounds, all-zero rows,
+    rows that vanish on the kernel, and repeated or rescaled rows whose
+    ratios tie."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vectors = st.lists(rationals, min_size=n, max_size=n).map(Vec.of)
+    eq_rows = draw(st.lists(vectors, max_size=3))
+    if draw(st.booleans()):
+        anchor = draw(vectors)
+        eqs = [(row, row.dot(anchor)) for row in eq_rows]
+    else:
+        eqs = [(row, draw(rationals)) for row in eq_rows]
+    ineqs = draw(st.lists(st.tuples(vectors, rationals), max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        kind = draw(st.sampled_from(["zero", "repeat", "eq-multiple"]))
+        if kind == "zero":
+            ineqs.append((Vec.zeros(n), draw(rationals)))
+        elif kind == "repeat" and ineqs:
+            coeffs, bound = draw(st.sampled_from(ineqs))
+            factor = draw(st.sampled_from([1, 2, Fraction(1, 3)]))
+            ineqs.append((coeffs.scale(factor), bound * factor))
+        elif kind == "eq-multiple" and eqs:
+            coeffs, bound = draw(st.sampled_from(eqs))
+            ineqs.append((coeffs.scale(draw(st.sampled_from([-1, 2]))), draw(rationals)))
+    objective = draw(st.one_of(vectors, st.just(Vec.zeros(n))))
+    return LinearProgram(objective=objective, eq_constraints=tuple(eqs), ineq_constraints=tuple(ineqs))
+
+
+@given(oracle_lps())
+@settings(max_examples=300, deadline=None)
+def test_integer_tableau_matches_fraction_tableau(lp):
+    # Bit-identical: status, optimal value, and the witness point or ray.
+    assert solve_lp(lp) == fraction_solve_lp(lp)

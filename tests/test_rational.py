@@ -17,6 +17,7 @@ from hoffman import (
     solve_linear,
     to_rational,
 )
+from hoffman.rational import solve_affine
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -263,6 +264,40 @@ def test_nullspace_vectors_annihilate_rows(rows):
     for v in nullspace(list(m.rows), m.n):
         assert all(r.dot(v) == 0 for r in m.rows)
         assert not v.is_zero()
+
+
+def test_solve_affine_of_an_empty_block_is_the_origin_and_standard_basis():
+    point, kernel = solve_affine([], [], 3)
+    assert point.entries == (0, 0, 0)
+    assert [v.entries for v in kernel] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_solve_affine_of_an_inconsistent_block_is_none():
+    rows = [Vec.of([1, 2]), Vec.of([2, 4])]
+    assert solve_affine(rows, [Fraction(1), Fraction(3)], 2) is None
+
+
+def test_solve_affine_reads_a_fractional_kernel():
+    point, kernel = solve_affine([Vec.of([2, 3, -1])], [Fraction(1, 2)], 3)
+    assert point.entries == (Fraction(1, 4), 0, 0)
+    assert [v.entries for v in kernel] == [(Fraction(-3, 2), 1, 0), (Fraction(1, 2), 0, 1)]
+
+
+@given(small_matrices, st.booleans(), st.data())
+def test_solve_affine_equals_solve_linear_and_nullspace(rows, consistent, data):
+    m = Mat.of(rows)
+    if consistent:
+        rhs = m.apply(Vec.of(data.draw(st.lists(rationals, min_size=m.n, max_size=m.n))))
+    else:
+        rhs = Vec.of(data.draw(st.lists(rationals, min_size=m.m, max_size=m.m)))
+    reduced = solve_affine(list(m.rows), list(rhs), m.n)
+    solution = solve_linear(m, rhs)
+    if solution is None:
+        assert reduced is None
+    else:
+        point, kernel = reduced
+        assert point == solution.point
+        assert kernel == nullspace(list(m.rows), m.n)
 
 
 def test_affine_hull_dim_examples():
