@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .lp import LinearProgram, LpStatus, solve_lp
@@ -255,14 +255,14 @@ def enumerate_active_sets(
 
 
 def maximal_sets(family: ActiveSetFamily | Sequence[IndexSet]) -> list[IndexSet]:
-    """Inclusion-maximal members, in the family's deterministic order."""
+    """Inclusion-maximal members, in the family's order, keeping the first of
+    equal members.  Buckets are visited by decreasing size, and each set is
+    tested only against the maximal sets of the larger buckets."""
     sets = list(family.sets) if isinstance(family, ActiveSetFamily) else [make_index_set(s) for s in family]
-    as_sets = [set(s) for s in sets]
-    out: list[IndexSet] = []
-    for i, candidate in enumerate(as_sets):
-        if any(i != j and candidate < other for j, other in enumerate(as_sets)):
-            continue
-        if any(candidate == other for other in as_sets[:i]):
-            continue  # drop duplicates, keep the first occurrence
-        out.append(sets[i])
-    return out
+    first: dict[frozenset[int], IndexSet] = {}
+    for indices in sets:
+        first.setdefault(frozenset(indices), indices)
+    maximal: set[frozenset[int]] = set()
+    for _, bucket in groupby(sorted(first, key=len, reverse=True), key=len):
+        maximal |= {key for key in bucket if not any(key < other for other in maximal)}
+    return [indices for key, indices in first.items() if key in maximal]

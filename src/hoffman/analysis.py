@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .activesets import (
@@ -37,11 +36,10 @@ from .activesets import (
     make_index_set,
     max_residual,
     maximal_sets,
-    residuals,
 )
-from .convex import Trichotomy, _hull_membership_constraints, minmax_value_sq
-from .lp import feasible
-from .rational import Mat, Vec, solve_linear, to_rational
+from .convex import Trichotomy, minmax_value_sq
+from .lp import LinearProgram, LpStatus, solve_lp
+from .rational import Mat, Vec, to_rational
 
 __all__ = [
     "Certificate",
@@ -56,12 +54,11 @@ __all__ = [
     "verify_certificate",
     "convex_hull_multipliers",
     "perturb",
-    "distance_sq_to_polyhedron",
-    "perturbation_ratio_sq",
     "worst_case_system",
 ]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -132,12 +129,20 @@ class Perturbation:
 def convex_hull_multipliers(rows: Sequence[Vec]) -> Vec | None:
     """Convex coefficients combining `rows` to the zero vector, or None.
 
-    Solves {sum(l_i row_i) = 0, sum(l_i) = 1, 0 <= l_i <= 1} exactly.
+    Solves {sum(l_i row_i) = 0, sum(l_i) = 1, 0 <= l_i <= 1} exactly.  The
+    rows l_i <= 1 follow from the others but stay: the simplex pivots, and so
+    the multipliers, depend on them.
     """
     if not rows:
         raise ValueError("need at least one row")
-    eqs, ineqs = _hull_membership_constraints(rows)
-    return feasible(eqs, ineqs).point
+    k = len(rows)
+    eqs = [(Vec.of([row[coord] for row in rows]), _ZERO) for coord in range(rows[0].dim)]
+    eqs.append((Vec.of([_ONE] * k), _ONE))
+    ineqs = [(Vec.unit(k, i), _ONE) for i in range(k)]
+    ineqs += [(Vec.unit(k, i).scale(-1), _ZERO) for i in range(k)]
+    # Only the multipliers are read, so no infeasibility certificate is built.
+    outcome = solve_lp(LinearProgram(Vec.zeros(k), tuple(eqs), tuple(ineqs)))
+    return outcome.witness if outcome.status is LpStatus.OPTIMAL else None
 
 
 def check_error_bound(
@@ -275,54 +280,6 @@ def perturb(system: InequalitySystem, perturbation: Perturbation) -> InequalityS
     rows = [row + shift for row in system.A.rows]
     offsets = [value + offset_shift for value in system.b]
     return InequalitySystem(Mat(tuple(rows)), Vec.of(offsets))
-
-
-def distance_sq_to_polyhedron(system: InequalitySystem, x: Vec) -> Fraction | None:
-    """Exact squared distance from x to the solution set; None when empty.
-
-    The nearest feasible point is the orthogonal projection of x onto the
-    affine span of its set of tight rows, so enumerating row subsets, solving
-    the normal equations exactly, and keeping feasible candidates is exact.
-    """
-    values = residuals(system, x)
-    if all(v <= 0 for v in values):
-        return _ZERO
-    m = system.m
-    best: Fraction | None = None
-    for size in range(1, m + 1):
-        for combo in combinations(range(1, m + 1), size):
-            rows = [system.A.rows[i - 1] for i in combo]
-            gram = Mat.of([[ri.dot(rj) for rj in rows] for ri in rows])
-            rhs = Vec.of([system.b[i - 1] - rows[pos].dot(x) for pos, i in enumerate(combo)])
-            solution = solve_linear(gram, rhs)
-            if solution is None:
-                continue  # the tight-row equalities are inconsistent
-            candidate = x
-            for coeff, row in zip(solution.point, rows):
-                if coeff:
-                    candidate = candidate + row.scale(coeff)
-            if any(v > 0 for v in residuals(system, candidate)):
-                continue
-            dist_sq = (x - candidate).norm_sq()
-            if best is None or dist_sq < best:
-                best = dist_sq
-    return best
-
-
-def perturbation_ratio_sq(system: InequalitySystem, x: Vec) -> Fraction:
-    """Squared ratio (max residual / distance to the solution set) at x.
-
-    Requires a point with strictly positive maximum residual.  When the
-    solution set is empty the distance is infinite by convention and the
-    ratio is zero.
-    """
-    value = max_residual(system, x)
-    if value <= 0:
-        raise ValueError("ratio requires a point with positive maximum residual")
-    dist_sq = distance_sq_to_polyhedron(system, x)
-    if dist_sq is None:
-        return _ZERO
-    return value * value / dist_sq
 
 
 def worst_case_system(m: int) -> InequalitySystem:

@@ -12,15 +12,14 @@ the largest origin-centered ball inside conv(D) in the positive case.  Since
 v(D) is irrational in general, magnitudes are carried as exact squared
 rationals; floats only appear as display annotations.
 
-Sign decisions are made by exact feasibility and margin programs, never by
-rounding: the origin lies outside the hull exactly when the convex-multiplier
-system {sum(l_i d_i) = 0, sum(l_i) = 1, 0 <= l_i <= 1} is infeasible, and it
-is interior exactly when the hull is full-dimensional and the multipliers can
-be chosen with a strictly positive common margin.
-
-The distance in the negative case comes from Wolfe's nearest-point method
-run over the rationals, so the nearest point is exact; before it is returned
-it is checked by substitution against every point of the set.
+Each sign question has one exact solver, and none rounds.  Whether the
+origin lies outside the hull is read from Wolfe's nearest-point method, run
+over the rationals: the nearest point is exact, it is checked by substitution
+against every point of the set, and a positive distance is both the negative
+sign and its magnitude.  When the nearest point is the origin, one margin
+program, max t subject to {sum(l_i d_i) = 0, sum(l_i) = 1, l_i >= t}, tells
+zero from positive: the origin is interior exactly when the margin is
+positive and the hull is full-dimensional.
 """
 
 from __future__ import annotations
@@ -91,25 +90,10 @@ def _dedupe(points: Sequence[Vec]) -> list[Vec]:
     return unique
 
 
-def _hull_membership_constraints(pts: Sequence[Vec]) -> tuple[list, list]:
-    """Constraints of the convex-multiplier system for the origin.
-
-    The rows l_i <= 1 follow from the others but stay: the simplex pivots,
-    and so the certificate multipliers built from this system, depend on them.
-    """
-    k = len(pts)
-    n = pts[0].dim
-    eqs = [(Vec.of([p[coord] for p in pts]), _ZERO) for coord in range(n)]
-    eqs.append((Vec.of([_ONE] * k), _ONE))
-    ineqs = [(Vec.unit(k, i), _ONE) for i in range(k)]
-    ineqs += [(Vec.unit(k, i).scale(-1), _ZERO) for i in range(k)]
-    return eqs, ineqs
-
-
-def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction:
-    """max t such that the origin is a convex combination with every
-    multiplier at least t; positive exactly when the origin lies in the
-    relative interior of conv(pts)."""
+def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction | None:
+    """max t such that the origin is an affine combination of pts with every
+    multiplier at least t (so t <= 1/k), or None off aff(pts).  t < 0 outside
+    conv(pts), t = 0 on its relative boundary, t > 0 in its relative interior."""
     k = len(pts)
     n = pts[0].dim
     width = k + 1  # multipliers plus the margin variable
@@ -128,25 +112,21 @@ def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction:
             ineq_constraints=tuple(ineqs),
         )
     )
+    if outcome.status is LpStatus.INFEASIBLE:
+        return None
     if outcome.status is not LpStatus.OPTIMAL or outcome.optimal_value is None:
-        raise RuntimeError("margin program must be solvable when the origin is in the hull")
+        raise RuntimeError("the margin program is bounded by 1/k")
     return outcome.optimal_value
 
 
 def minmax_sign(points: Sequence[Vec]) -> Trichotomy:
-    """Exact sign of v(points); decided by rational feasibility programs."""
+    """Exact sign of v(points), from one margin program: negative when it is
+    infeasible or t < 0, positive when t > 0 and the hull is full-dimensional."""
     pts = _validated(points)
-    eqs, ineqs = _hull_membership_constraints(pts)
-    # Only the outcome matters, so no infeasibility certificate is built.
-    membership = LinearProgram(
-        objective=Vec.zeros(len(pts)),
-        eq_constraints=tuple(eqs),
-        ineq_constraints=tuple(ineqs),
-    )
-    if solve_lp(membership).status is LpStatus.INFEASIBLE:
+    margin = _relative_interior_margin(pts)
+    if margin is None or margin < 0:
         return Trichotomy.NEGATIVE
-    n = pts[0].dim
-    if affine_hull_dim(pts) == n and _relative_interior_margin(pts) > 0:
+    if margin > 0 and affine_hull_dim(pts) == pts[0].dim:
         return Trichotomy.POSITIVE
     return Trichotomy.ZERO
 
@@ -284,12 +264,16 @@ def inradius_at_origin_sq(points: Sequence[Vec]) -> Fraction:
 
 
 def minmax_value_sq(points: Sequence[Vec]) -> MinMaxValue:
-    """Sign and exact squared magnitude of v(points)."""
+    """Sign and exact squared magnitude of v(points).  A positive distance to
+    the hull is both, and no program is solved; only a hull through the origin
+    asks the margin program, and a negative answer there raises RuntimeError."""
     pts = _validated(points)
+    _, dist_sq = min_norm_point_sq(pts)
+    if dist_sq:
+        return MinMaxValue(Trichotomy.NEGATIVE, dist_sq)
     sign = minmax_sign(pts)
     if sign is Trichotomy.NEGATIVE:
-        _, dist_sq = min_norm_point_sq(pts)
-        return MinMaxValue(sign, dist_sq)
+        raise RuntimeError("the nearest point is the origin, but the margin program puts it outside the hull")
     if sign is Trichotomy.ZERO:
         return MinMaxValue(sign, _ZERO)
     return MinMaxValue(sign, _inradius_unchecked(_dedupe(pts)))

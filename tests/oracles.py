@@ -6,7 +6,20 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from hoffman import LinearProgram, LpOutcome, LpStatus, Mat, Vec, nullspace, solve_linear
+from hoffman import (
+    IndexSet,
+    InequalitySystem,
+    LinearProgram,
+    LpOutcome,
+    LpStatus,
+    Mat,
+    Vec,
+    make_index_set,
+    max_residual,
+    nullspace,
+    residuals,
+    solve_linear,
+)
 from hoffman.lp import _MAX_PIVOTS, Constraint
 from hoffman.rational import _row_rank
 
@@ -274,3 +287,72 @@ def fraction_solve_lp(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(LpStatus.UNBOUNDED, None, lifted)
     point = origin + lifted
     return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)
+
+
+# -- maximal members of a family by all pairs -------------------------------------
+
+
+def maximal_sets_by_pairs(family: Sequence[IndexSet]) -> list[IndexSet]:
+    """Inclusion-maximal members, in the family's order, keeping the first of
+    equal members: every set is tested against every other set."""
+    sets = [make_index_set(s) for s in family]
+    as_sets = [set(s) for s in sets]
+    out: list[IndexSet] = []
+    for i, candidate in enumerate(as_sets):
+        if any(i != j and candidate < other for j, other in enumerate(as_sets)):
+            continue
+        if any(candidate == other for other in as_sets[:i]):
+            continue  # drop duplicates, keep the first occurrence
+        out.append(sets[i])
+    return out
+
+
+# -- distance to the solution set by row subsets ------------------------------------
+
+
+def distance_sq_to_polyhedron(system: InequalitySystem, x: Vec) -> Fraction | None:
+    """Exact squared distance from x to the solution set; None when empty.
+
+    The nearest feasible point is the orthogonal projection of x onto the
+    affine span of its set of tight rows, so enumerating row subsets, solving
+    the normal equations exactly, and keeping feasible candidates is exact.
+    """
+    values = residuals(system, x)
+    if all(v <= 0 for v in values):
+        return _ZERO
+    m = system.m
+    best: Fraction | None = None
+    for size in range(1, m + 1):
+        for combo in combinations(range(1, m + 1), size):
+            rows = [system.A.rows[i - 1] for i in combo]
+            gram = Mat.of([[ri.dot(rj) for rj in rows] for ri in rows])
+            rhs = Vec.of([system.b[i - 1] - rows[pos].dot(x) for pos, i in enumerate(combo)])
+            solution = solve_linear(gram, rhs)
+            if solution is None:
+                continue  # the tight-row equalities are inconsistent
+            candidate = x
+            for coeff, row in zip(solution.point, rows):
+                if coeff:
+                    candidate = candidate + row.scale(coeff)
+            if any(v > 0 for v in residuals(system, candidate)):
+                continue
+            dist_sq = (x - candidate).norm_sq()
+            if best is None or dist_sq < best:
+                best = dist_sq
+    return best
+
+
+def perturbation_ratio_sq(system: InequalitySystem, x: Vec) -> Fraction:
+    """Squared ratio (max residual / distance to the solution set) at x.
+
+    Requires a point with strictly positive maximum residual.  When the
+    solution set is empty the distance is infinite by convention and the
+    ratio is zero.
+    """
+    value = max_residual(system, x)
+    if value <= 0:
+        raise ValueError("ratio requires a point with positive maximum residual")
+    dist_sq = distance_sq_to_polyhedron(system, x)
+    if dist_sq is None:
+        return _ZERO
+    return value * value / dist_sq

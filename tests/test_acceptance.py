@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import point_corpus, system_corpus
+from oracles import perturbation_ratio_sq
 from hoffman import (
     InequalitySystem,
     Perturbation,
@@ -30,7 +31,6 @@ from hoffman import (
     hoffman_constant_sq,
     minmax_value_sq,
     perturb,
-    perturbation_ratio_sq,
     sample_minmax,
     save_system,
 )

@@ -20,8 +20,10 @@ from hoffman import (
     realizability,
     residuals,
     Trichotomy,
+    worst_case_system,
 )
 from corpus import system_corpus
+from oracles import maximal_sets_by_pairs
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -261,3 +263,28 @@ def test_maximal_sets_drop_duplicates():
 
 def test_maximal_sets_of_empty_family():
     assert maximal_sets([]) == []
+
+
+@st.composite
+def index_families(draw):
+    """Members written out of order and with repeated indices, of mixed sizes
+    in any order, with repeated members and, sometimes, a nested chain."""
+    members = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6)
+    family = draw(st.lists(members, max_size=12))
+    if family:
+        if draw(st.booleans()):
+            base = draw(st.sampled_from(family))
+            family += [base[:k] for k in range(1, len(base) + 1)]
+        family += draw(st.lists(st.sampled_from(family), max_size=4))
+    return draw(st.permutations(family))
+
+
+@given(index_families())
+@settings(max_examples=200, deadline=None)
+def test_maximal_sets_match_the_all_pairs_scan(family):
+    assert maximal_sets(family) == maximal_sets_by_pairs(family)
+
+
+def test_maximal_sets_of_identity_family_match_the_all_pairs_scan():
+    family = enumerate_active_sets(worst_case_system(6), Level.POSITIVE)
+    assert maximal_sets(family) == maximal_sets_by_pairs(family.sets) == [(1, 2, 3, 4, 5, 6)]

@@ -1,11 +1,13 @@
 """Error-bound verdicts, stability, certificates, perturbations, distances."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from corpus import system_corpus
 from hoffman import (
     NO_ERROR_BOUND,
     Certificate,
@@ -15,15 +17,14 @@ from hoffman import (
     check_error_bound,
     check_stability,
     convex_hull_multipliers,
-    distance_sq_to_polyhedron,
     feasible,
     hoffman_constant_sq,
     max_residual,
     perturb,
-    perturbation_ratio_sq,
     verify_certificate,
     worst_case_system,
 )
+from oracles import distance_sq_to_polyhedron, perturbation_ratio_sq
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -105,6 +106,16 @@ def test_maximal_shortcut_never_changes_the_verdict(system):
     slow = check_error_bound(system, maximal_only=False)
     assert fast.has_error_bound == slow.has_error_bound
     assert fast.sigma_sq == slow.sigma_sq
+
+
+def test_corpus_verdicts_are_pinned():
+    # One digest over the reprs of both verdicts of every corpus system: the
+    # certificates, sharp constants, violating sets and lower bounds.
+    digest = hashlib.sha256()
+    for system in system_corpus():
+        digest.update(repr(check_error_bound(system)).encode())
+        digest.update(repr(check_stability(system)).encode())
+    assert digest.hexdigest() == "a6efabac3edbf032379c6a442e6ae4178ef063cf22bcafc99b6f868e4753e631"
 
 
 # -- stability ---------------------------------------------------------------------------

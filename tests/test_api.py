@@ -1,5 +1,8 @@
 """The package surface: every public name is declared once, by its module."""
 
+import ast
+from pathlib import Path
+
 import hoffman
 from hoffman import activesets, analysis, convex, formats, lp, rational, sampling
 
@@ -13,13 +16,13 @@ PUBLIC_NAMES = {
     "SystemFileError", "Trichotomy", "Vec", "__version__", "active_set",
     "affine_hull_dim", "certificate_to_data", "check_error_bound", "check_stability",
     "convex_hull_multipliers", "digest_of", "directional_derivative",
-    "distance_sq_to_polyhedron", "enumerate_active_sets", "estimate_hoffman",
+    "enumerate_active_sets", "estimate_hoffman",
     "exact_field", "feasible", "format_rational", "hoffman_constant_sq",
     "inradius_at_origin_sq", "load_certificate", "load_system", "make_index_set",
     "make_report", "max_residual", "maximal_sets", "min_norm_point_sq", "minmax_sign",
     "minmax_value_sq", "nullspace", "parse_certificate_data", "parse_rational",
     "parse_scalar_value", "parse_system_data", "parse_vec_data", "perturb",
-    "perturbation_ratio_sq", "rank", "realizability", "residuals", "sample_minmax",
+    "rank", "realizability", "residuals", "sample_minmax",
     "save_certificate", "save_system", "solve_linear", "solve_lp", "sqrt_approx",
     "system_to_data", "to_rational", "vec_to_data", "verify_certificate",
     "worst_case_system",
@@ -39,3 +42,12 @@ def test_every_public_name_is_declared_by_exactly_one_module():
         owners = [module for module in MODULES if name in module.__all__]
         assert len(owners) == 1, (name, [module.__name__ for module in owners])
         assert getattr(hoffman, name) is getattr(owners[0], name)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for path in sorted(Path(hoffman.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hoffman")):
+                found += [(path.name, alias.name) for alias in node.names if alias.name.startswith("_")]
+    assert found == []

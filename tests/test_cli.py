@@ -255,6 +255,16 @@ def test_failed_nearest_point_check_is_an_internal_error(monkeypatch, triangle_f
     assert "optimality check" in err
 
 
+def test_sign_disagreeing_with_the_nearest_point_is_an_internal_error(monkeypatch, pair_file):
+    # The pair's rows hold the origin in their hull; a margin program that
+    # places the origin off their affine hull contradicts Wolfe's distance 0.
+    monkeypatch.setattr(hoffman.convex, "_relative_interior_margin", lambda pts: None)
+    code, report, err = run_cli("check-stability", pair_file)
+    assert code == 1
+    assert report is None
+    assert "margin program" in err
+
+
 def test_thread_env_variable(monkeypatch, triangle_file):
     monkeypatch.setenv("HOFFMAN_THREADS", "2")
     code, report, _ = run_cli("check-eb", triangle_file)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from corpus import point_corpus
+from corpus import point_corpus, system_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import min_norm_point_by_faces
@@ -17,6 +17,7 @@ from hoffman import (
     Trichotomy,
     Vec,
     affine_hull_dim,
+    check_error_bound,
     check_stability,
     feasible,
     inradius_at_origin_sq,
@@ -26,7 +27,7 @@ from hoffman import (
     solve_lp,
     worst_case_system,
 )
-from hoffman.convex import _checked_nearest
+from hoffman.convex import _checked_nearest, _relative_interior_margin
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -78,7 +79,8 @@ def route_through(monkeypatch, fn, hook):
                     monkeypatch.setattr(module, attr, hook)
 
 
-def test_negative_sign_solves_one_lp(monkeypatch):
+def count_programs(monkeypatch):
+    """Route every `solve_lp` call of the package through a counter."""
     programs = []
 
     def counted(lp):
@@ -86,8 +88,13 @@ def test_negative_sign_solves_one_lp(monkeypatch):
         return solve_lp(lp)
 
     route_through(monkeypatch, solve_lp, counted)
+    return programs
+
+
+def test_negative_sign_solves_one_lp(monkeypatch):
+    programs = count_programs(monkeypatch)
     assert minmax_sign(SEGMENT) is Trichotomy.NEGATIVE
-    assert len(programs) == 1  # membership only: no infeasibility certificate
+    assert len(programs) == 1  # the margin program only: no infeasibility certificate
 
 
 def test_stability_check_never_asks_for_a_certificate(monkeypatch):
@@ -96,6 +103,71 @@ def test_stability_check_never_asks_for_a_certificate(monkeypatch):
 
     route_through(monkeypatch, feasible, refuse)
     assert check_stability(worst_case_system(4)).stable
+
+
+def test_error_bound_check_never_asks_for_a_certificate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lp.feasible builds a Farkas certificate that check_error_bound discards")
+
+    route_through(monkeypatch, feasible, refuse)
+    verdicts = [check_error_bound(system) for system in system_corpus()]
+    assert any(not verdict.has_error_bound for verdict in verdicts)
+
+
+def test_sign_solves_one_lp_per_call(monkeypatch):
+    programs = count_programs(monkeypatch)
+    for calls, pts in enumerate(point_corpus(), start=1):
+        minmax_sign(pts)
+        assert len(programs) == calls
+
+
+def test_value_of_a_set_off_the_origin_solves_no_lp(monkeypatch):
+    programs = count_programs(monkeypatch)
+    assert minmax_value_sq(SEGMENT).sign is Trichotomy.NEGATIVE
+    assert programs == []
+
+
+def test_stability_of_identity_solves_one_lp_per_zero_level_set(monkeypatch):
+    # 15 realizability programs for the 2^4 - 1 subsets, and no sign program:
+    # every hull of unit vectors stays off the origin.
+    programs = count_programs(monkeypatch)
+    assert check_stability(worst_case_system(4)).stable
+    assert len(programs) == 15
+
+
+# Two points on a line through the origin, both on one side of it: the origin
+# is in the affine hull, but outside the convex hull, at margin -1.
+OFF_SEGMENT_1D = [Vec.of([1]), Vec.of([2])]
+OFF_SEGMENT_2D = [Vec.of([1, 0]), Vec.of([2, 0])]
+
+
+@pytest.mark.parametrize("pts", [OFF_SEGMENT_1D, OFF_SEGMENT_2D], ids=["1d", "2d"])
+def test_negative_margin_is_a_negative_sign(pts):
+    assert _relative_interior_margin(pts) == -1
+    assert minmax_sign(pts) is Trichotomy.NEGATIVE
+    value = minmax_value_sq(pts)
+    assert value.sign is Trichotomy.NEGATIVE
+    assert value.value_sq == 1
+
+
+def test_margin_is_none_off_the_affine_hull():
+    assert _relative_interior_margin(SEGMENT) is None
+
+
+def assert_value_sign_is_the_sign(pts):
+    assert minmax_value_sq(pts).sign is minmax_sign(pts)
+
+
+def test_value_sign_is_the_sign_on_the_point_corpus():
+    for pts in point_corpus():
+        assert_value_sign_is_the_sign(pts)
+
+
+def test_value_sign_is_the_sign_on_identity_row_subsets():
+    rows = worst_case_system(6).A.rows
+    for size in range(1, len(rows) + 1):
+        for subset in combinations(rows, size):
+            assert_value_sign_is_the_sign(subset)
 
 
 def test_sign_rejects_empty_and_mixed_dimension():
@@ -213,6 +285,12 @@ def test_min_norm_point_matches_face_enumeration_on_identity_row_subsets():
 @settings(max_examples=100, deadline=None)
 def test_min_norm_point_matches_face_enumeration(pts):
     assert_matches_face_enumeration(pts)
+
+
+@given(point_sets_with_repeats())
+@settings(max_examples=100, deadline=None)
+def test_value_sign_is_the_sign(pts):
+    assert_value_sign_is_the_sign(pts)
 
 
 def test_nearest_point_check_rejects_wrong_answers():
