@@ -37,12 +37,11 @@ from .formats import (
     make_report,
     save_certificate,
     save_system,
-    sqrt_approx,
     system_to_data,
     vec_to_data,
 )
 from .lp import feasible
-from .rational import Vec, parse_rational
+from .rational import Vec, parse_rational, sqrt_approx
 from .sampling import SampleConfig, estimate_hoffman
 
 EXIT_OK = 0

@@ -24,7 +24,6 @@ positive and the hull is full-dimensional.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -32,7 +31,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .lp import LinearProgram, LpStatus, solve_lp
-from .rational import Mat, Vec, affine_hull_dim, nullspace, solve_linear
+from .rational import Mat, Vec, affine_hull_dim, nullspace, solve_linear, sqrt_approx
 
 __all__ = [
     "Trichotomy",
@@ -60,14 +59,13 @@ class MinMaxValue:
     sign: Trichotomy
     value_sq: Fraction
 
-    def approx(self) -> float:
-        """Float annotation of the signed value; the exact data is value_sq."""
-        root = math.sqrt(self.value_sq)
-        if self.sign is Trichotomy.NEGATIVE:
+    def approx(self) -> float | None:
+        """Float annotation of the signed value, None past float range; the
+        exact data is value_sq."""
+        root = sqrt_approx(self.value_sq)
+        if root is not None and self.sign is Trichotomy.NEGATIVE:
             return -root
-        if self.sign is Trichotomy.POSITIVE:
-            return root
-        return 0.0
+        return root
 
 
 def _validated(points: Sequence[Vec]) -> list[Vec]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -34,7 +33,6 @@ __all__ = [
     "save_certificate",
     "exact_field",
     "digest_of",
-    "sqrt_approx",
     "make_report",
 ]
 
@@ -104,13 +102,20 @@ def digest_of(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def load_system(path: str | Path) -> tuple[InequalitySystem, str]:
-    """Parse a system file; returns the system and its content digest."""
+def _read_json(path: str | Path) -> tuple[Any, bytes]:
+    """The decoded JSON document at `path` and its raw bytes."""
     raw = Path(path).read_bytes()
     try:
-        data = json.loads(raw)
+        return json.loads(raw), raw
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SystemFileError(f"{path}: JSON nested too deeply to decode") from exc
+
+
+def load_system(path: str | Path) -> tuple[InequalitySystem, str]:
+    """Parse a system file; returns the system and its content digest."""
+    data, raw = _read_json(path)
     return parse_system_data(data), digest_of(raw)
 
 
@@ -151,11 +156,7 @@ def certificate_to_data(certificate: Certificate) -> dict[str, Any]:
 
 
 def load_certificate(path: str | Path) -> Certificate:
-    raw = Path(path).read_bytes()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SystemFileError(f"{path}: not valid JSON: {exc}") from exc
+    data, _ = _read_json(path)
     return parse_certificate_data(data)
 
 
@@ -164,12 +165,15 @@ def save_certificate(certificate: Certificate, path: str | Path) -> None:
 
 
 def exact_field(value: Fraction) -> dict[str, Any]:
-    """Exact scalar plus a float annotation for report payloads."""
-    return {"exact": format_rational(value), "approx": float(value)}
+    """Exact scalar plus a float annotation for report payloads.
 
-
-def sqrt_approx(value_sq: Fraction | None) -> float | None:
-    return None if value_sq is None else math.sqrt(value_sq)
+    The annotation is None when the value is past float range.
+    """
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = None
+    return {"exact": format_rational(value), "approx": approx}
 
 
 def make_report(command: str, input_digest: str | None, timing_ms: float, result: dict[str, Any]) -> dict[str, Any]:

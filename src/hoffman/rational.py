@@ -5,6 +5,17 @@ in lowest terms with a positive denominator, so equality and sign tests are
 reliable even on boundary cases.  Vectors and matrices are immutable; every
 operation returns a fresh value, which makes all of this safe to use from
 concurrent callers.
+
+Every solve, rank and kernel goes through one fraction-free Gauss-Jordan
+elimination on integer rows, with the step of the integer tableau in `lp`
+(a gcd division where Bareiss 1968 divides by the previous pivot).  Each
+row is scaled to integers by the least common multiple of its denominators,
+and a pivot p in column c replaces every other row by
+`(p * row - row[c] * lead) / gcd`, which keeps each row a nonzero multiple
+of the row the `Fraction` elimination holds.  The reduced row echelon form
+is unique, so its entry (k, j) is read out exactly as
+`Fraction(rows[k][j], rows[k][pivots[k]])`, and only for the entries a
+caller reads.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm, sqrt
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -22,6 +34,7 @@ __all__ = [
     "to_rational",
     "parse_rational",
     "format_rational",
+    "sqrt_approx",
     "rank",
     "solve_linear",
     "nullspace",
@@ -72,6 +85,25 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Emit the canonical fraction form: "3", "-2/7"."""
     return str(value)
+
+
+def sqrt_approx(value_sq: Fraction | None) -> float | None:
+    """Float annotation of the square root of an exact value >= 0.
+
+    None for None and for a root past float range; it never raises.
+    """
+    if value_sq is None:
+        return None
+    p, q = value_sq.numerator, value_sq.denominator
+    if p == 0 or abs(p.bit_length() - q.bit_length()) < 1000:
+        return sqrt(value_sq)  # value_sq converts to a normal float
+    # Past the normal range at either end: the integer root of p * 4**s / q
+    # has at least 64 bits, and one division by 2**s rounds it.
+    s = max(0, q.bit_length() - p.bit_length() + 128) // 2
+    try:
+        return isqrt((p << 2 * s) // q) / (1 << s)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -207,32 +239,49 @@ class LinearSolution:
     unique: bool
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form by exact Gauss-Jordan; returns (rref, pivot columns)."""
-    mat = [row[:] for row in rows]
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns (integer rows, pivot columns).
+
+    Row k of the result, for k below the number of pivots, is a nonzero
+    integer multiple of row k of the reduced row echelon form, so that form's
+    entry (k, j) is `rows[k][j] / rows[k][pivots[k]]`.  Rows past the last
+    pivot are zero.
+    """
+    mat: list[list[int]] = []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = lcm(*[q for _, q in ratios])
+        mat.append([p for p, _ in ratios] if scale == 1 else [p * (scale // q) for p, q in ratios])
     pivots: list[int] = []
     if not mat:
         return mat, pivots
     r = 0
     ncols = len(mat[0])
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        if piv != 1:
-            mat[r] = [x / piv for x in mat[r]]
         lead = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], lead)]
+        p = lead[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(row, lead)]
+                g = gcd(*row)
+                mat[i] = row if g <= 1 else [a // g for a in row]
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
     return mat, pivots
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """`num / den` in lowest terms; zero reuses `_ZERO`, and `den == 1` skips the gcd."""
+    if not num:
+        return _ZERO
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def _row_rank(rows: Sequence[Vec], dim: int) -> int:
@@ -298,15 +347,15 @@ def solve_affine(rows: Sequence[Vec], rhs: Sequence[Fraction], dim: int) -> tupl
     return _particular_solution(reduced, pivots, dim), _kernel_basis(reduced, pivots, dim)
 
 
-def _particular_solution(reduced: list[list[Fraction]], pivots: list[int], n: int) -> Vec:
+def _particular_solution(reduced: list[list[int]], pivots: list[int], n: int) -> Vec:
     """The solution of a reduced `[M | rhs]` whose free variables are zero."""
     point = [_ZERO] * n
-    for row_index, col in enumerate(pivots):
-        point[col] = reduced[row_index][n]
+    for row, col in zip(reduced, pivots):
+        point[col] = _ratio(row[n], row[col])
     return Vec.of(point)
 
 
-def _kernel_basis(reduced: list[list[Fraction]], pivots: list[int], dim: int) -> list[Vec]:
+def _kernel_basis(reduced: list[list[int]], pivots: list[int], dim: int) -> list[Vec]:
     """One kernel vector per free column of a reduced matrix, in column order."""
     pivot_set = set(pivots)
     basis: list[Vec] = []
@@ -315,8 +364,8 @@ def _kernel_basis(reduced: list[list[Fraction]], pivots: list[int], dim: int) ->
             continue
         v = [_ZERO] * dim
         v[free_col] = _ONE
-        for row_index, piv_col in enumerate(pivots):
-            v[piv_col] = -reduced[row_index][free_col]
+        for row, piv_col in zip(reduced, pivots):
+            v[piv_col] = _ratio(-row[free_col], row[piv_col])
         basis.append(Vec.of(v))
     return basis
 

@@ -78,6 +78,64 @@ def min_norm_point_by_faces(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
     return best
 
 
+# -- Gauss-Jordan over Fraction ---------------------------------------------------
+
+
+def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by exact Gauss-Jordan; returns (rref, pivot columns).
+
+    The elimination `rational` ran over `Fraction` before it became
+    fraction-free, kept as its reference.
+    """
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
+    if not mat:
+        return mat, pivots
+    r = 0
+    ncols = len(mat[0])
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        piv = mat[r][c]
+        if piv != 1:
+            mat[r] = [x / piv for x in mat[r]]
+        lead = mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def fraction_particular_solution(reduced: list[list[Fraction]], pivots: list[int], n: int) -> Vec:
+    """The solution of a reduced `[M | rhs]` whose free variables are zero."""
+    point = [_ZERO] * n
+    for row_index, col in enumerate(pivots):
+        point[col] = reduced[row_index][n]
+    return Vec.of(point)
+
+
+def fraction_kernel_basis(reduced: list[list[Fraction]], pivots: list[int], dim: int) -> list[Vec]:
+    """One kernel vector per free column of a reduced matrix, in column order."""
+    pivot_set = set(pivots)
+    basis: list[Vec] = []
+    for free_col in range(dim):
+        if free_col in pivot_set:
+            continue
+        v = [_ZERO] * dim
+        v[free_col] = _ONE
+        for row_index, piv_col in enumerate(pivots):
+            v[piv_col] = -reduced[row_index][free_col]
+        basis.append(Vec.of(v))
+    return basis
+
+
 # -- exact simplex over Fraction ------------------------------------------------
 
 

@@ -236,6 +236,47 @@ def test_json_floats_are_an_input_error(tmp_path):
     assert "exact scalars as strings" in err
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, infeasible_file):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, report, err = run_cli("check-eb", str(deep))
+    assert (code, report) == (2, None)
+    assert "nested too deeply" in err
+    code, report, err = run_cli("verify-cert", infeasible_file, str(deep))
+    assert (code, report) == (2, None)
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "entry, exact, approx, root",
+    [
+        # sigma^2 of the one row 10^200 is 10^400, past float range; its root is not.
+        ("1" + "0" * 200, "1" + "0" * 400, None, 1e200),
+        # 10^-400 rounds to the float 0, but its root 10^-200 is a normal float.
+        ("1/1" + "0" * 200, "1/1" + "0" * 400, 0.0, 1e-200),
+    ],
+    ids=["huge", "tiny"],
+)
+@pytest.mark.parametrize(
+    "command, exact_key, root_key",
+    [
+        ("check-eb", "sigma_sq", "sigma_approx"),
+        ("hoffman", "sigma_sq", "sigma_approx"),
+        ("check-stability", "lower_bound_sq", "lower_bound_approx"),
+    ],
+)
+def test_values_past_float_range_keep_their_exact_string(
+    tmp_path, command, exact_key, root_key, entry, exact, approx, root
+):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"A": [[entry]], "b": ["0"]}))
+    code, report, err = run_cli(command, str(path))
+    assert code == 0, err
+    result = report["result"]
+    assert result[exact_key] == {"exact": exact, "approx": approx}
+    assert result[root_key] == pytest.approx(root, abs=0)
+
+
 @pytest.mark.parametrize("literal", ["1e200000", "2E3", "1_0"])
 def test_exponent_and_underscore_literals_are_an_input_error(tmp_path, literal):
     path = tmp_path / "exponent.json"

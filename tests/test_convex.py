@@ -378,6 +378,13 @@ def test_approx_annotation_signs():
     assert minmax_value_sq(ANTIPODAL).approx() == 0.0
 
 
+def test_approx_annotation_past_float_range():
+    big = 10**200
+    assert minmax_value_sq([Vec.of([big])]).approx() == -1e200
+    assert minmax_value_sq([Vec.of([big]), Vec.of([-big])]).approx() == 1e200
+    assert minmax_value_sq([Vec.of([big * big]), Vec.of([-big * big])]).approx() is None
+
+
 @given(point_sets())
 @settings(max_examples=60, deadline=None)
 def test_value_sq_vanishes_exactly_on_zero_sign(pts):

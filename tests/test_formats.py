@@ -154,6 +154,17 @@ def test_sqrt_approx():
     assert sqrt_approx(None) is None
 
 
+def test_float_annotations_past_float_range_are_none():
+    assert exact_field(Fraction(10**400)) == {"exact": "1" + "0" * 400, "approx": None}
+    assert exact_field(Fraction(-(10**400), 3))["approx"] is None
+    assert sqrt_approx(Fraction(10**400)) == 1e200
+    assert sqrt_approx(Fraction(10**400, 7)) == pytest.approx(1e200 / math.sqrt(7))
+    assert sqrt_approx(Fraction(10**700)) is None
+    assert sqrt_approx(Fraction(1, 10**400)) == pytest.approx(1e-200, abs=0)
+    assert sqrt_approx(Fraction(1, 10**700)) == 0.0
+    assert sqrt_approx(Fraction(2**2048 - 1)) is None
+
+
 def test_make_report_envelope_is_json_serializable():
     report = make_report("check-eb", "sha256:" + "0" * 64, 12.3456, {"ok": True})
     assert report["command"] == "check-eb"

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import fraction_kernel_basis, fraction_particular_solution, fraction_rref
 
 from hoffman import (
+    LinearSolution,
     Mat,
     Vec,
     affine_hull_dim,
@@ -314,3 +316,63 @@ def test_affine_hull_dim_ignores_duplicates():
 def test_affine_hull_dim_rejects_empty():
     with pytest.raises(ValueError):
         affine_hull_dim([])
+
+
+# -- the fraction-free elimination against the Fraction one ------------------------
+
+
+@st.composite
+def eliminable_systems(draw):
+    """`(rows, rhs)`: wide or tall, fractional entries, zero rows, repeated and
+    rescaled rows, and a right-hand side that is consistent or arbitrary."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=6))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    rows: list[list[Fraction]] = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "rescale"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * n)
+        elif kind == "fresh" or not rows:
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+        else:
+            source = draw(st.sampled_from(rows))
+            factor = Fraction(1) if kind == "repeat" else draw(entries.filter(bool))
+            rows.append([factor * a for a in source])
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=n, max_size=n))
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@given(eliminable_systems())
+@example(([[Fraction(0)] * 3] * 2, [Fraction(0), Fraction(1)]))
+@example(([[Fraction(1, 2), Fraction(-3)], [Fraction(1), Fraction(-6)]], [Fraction(1), Fraction(3)]))
+@example(([[Fraction(2, 3), Fraction(0), Fraction(-1, 5), Fraction(4)]], [Fraction(7, 2)]))
+@example(
+    ([[Fraction(0), Fraction(3)], [Fraction(2), Fraction(1)], [Fraction(-4), Fraction(-2)]], [Fraction(1)] * 3)
+)
+@settings(max_examples=200, deadline=None)
+def test_read_outs_equal_the_fraction_elimination(system):
+    rows, rhs = system
+    matrix = Mat.of(rows)
+    n = matrix.n
+    reduced, pivots = fraction_rref([list(row) for row in rows])
+    assert rank(matrix) == len(pivots)
+    assert nullspace(list(matrix.rows), n) == fraction_kernel_basis(reduced, pivots, n)
+
+    aug_reduced, aug_pivots = fraction_rref([row + [b] for row, b in zip(rows, rhs)])
+    solution = solve_linear(matrix, Vec.of(rhs))
+    affine = solve_affine(list(matrix.rows), rhs, n)
+    if n in aug_pivots:
+        assert solution is None and affine is None
+    else:
+        point = fraction_particular_solution(aug_reduced, aug_pivots, n)
+        assert solution == LinearSolution(point, unique=len(aug_pivots) == n)
+        assert affine == (point, fraction_kernel_basis(aug_reduced, aug_pivots, n))
+
+    points = list(matrix.rows)
+    diffs = [list((p - points[0]).entries) for p in points[1:]]
+    assert affine_hull_dim(points) == (len(fraction_rref(diffs)[1]) if diffs else 0)
