@@ -5,11 +5,19 @@ exits with 0 (affirmative verdict or plain success), 3 (negative verdict),
 2 (input error), or 1 (internal error).  The environment variable
 HOFFMAN_THREADS caps the number of worker threads used by the enumeration
 stages; the default is the machine's CPU count.
+
+`main(argv)` can also be called in-process.  It returns the exit code
+instead of exiting; only argparse still raises `SystemExit`, with code 2
+after printing the usage to the `sys.stderr` of the moment for arguments it
+rejects, and with code 0 after `--help`.  The argument parser is built once
+per process, on the first call, and shared by every later one; each call
+parses into a fresh namespace, so no call sees another's options.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -213,7 +221,13 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | Non
     return {"level": args.level, "rows": rows}, EXIT_OK, None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    Building it costs far more than parsing one command line with it, so
+    `main` reuses it; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="hoffman",
         description="Exact error-bound analysis for systems of linear inequalities",

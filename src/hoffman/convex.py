@@ -95,7 +95,7 @@ def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction | None:
     k = len(pts)
     n = pts[0].dim
     width = k + 1  # multipliers plus the margin variable
-    eqs = [(Vec.of([p[coord] for p in pts] + [0]), _ZERO) for coord in range(n)]
+    eqs = [(Vec.of([p[coord] for p in pts] + [_ZERO]), _ZERO) for coord in range(n)]
     eqs.append((Vec.of([_ONE] * k + [_ZERO]), _ONE))
     ineqs = []
     for i in range(k):

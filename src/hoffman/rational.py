@@ -82,9 +82,33 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
+# `str` refuses an int past the interpreter's limit on digits (4300 by
+# default); `_decimal` splits larger ones into pieces it takes, so that the
+# process-wide limit is never changed.
+_PIECE_DIGITS = 1000
+_PIECE = 10**_PIECE_DIGITS
+
+
 def format_rational(value: Fraction) -> str:
-    """Emit the canonical fraction form: "3", "-2/7"."""
-    return str(value)
+    """Emit the canonical fraction form: "3", "-2/7", exactly at any size."""
+    p, q = value.numerator, value.denominator
+    if -_PIECE < p < _PIECE and q < _PIECE:
+        return str(value)
+    text = "-" + _decimal(-p) if p < 0 else _decimal(p)
+    return text if q == 1 else f"{text}/{_decimal(q)}"
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits of an int n >= 0 of any size."""
+    if n < _PIECE:
+        return str(n)
+    # Split at 10**k with k the largest power-of-two multiple of the piece
+    # size whose square is at most n, so both halves are below 10**k.
+    k, split = _PIECE_DIGITS, _PIECE
+    while split * split <= n:
+        k, split = 2 * k, split * split
+    high, low = divmod(n, split)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
 
 
 def sqrt_approx(value_sq: Fraction | None) -> float | None:
@@ -123,16 +147,27 @@ class Vec:
         return cls(tuple(values))
 
     @classmethod
+    def _of_fractions(cls, entries: tuple[Fraction, ...]) -> "Vec":
+        """Wrap a nonempty tuple of `Fraction` as is, without coercing or checking.
+
+        For the package's own arithmetic and read-outs, which hold such a
+        tuple already; `Vec(...)` and `Vec.of` coerce and validate.
+        """
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "entries", entries)
+        return vec
+
+    @classmethod
     def zeros(cls, dim: int) -> "Vec":
         if dim < 1:
             raise ValueError("vector dimension must be at least 1")
-        return cls(tuple(_ZERO for _ in range(dim)))
+        return cls._of_fractions((_ZERO,) * dim)
 
     @classmethod
     def unit(cls, dim: int, index: int) -> "Vec":
         if not 0 <= index < dim:
             raise ValueError(f"unit index {index} out of range for dimension {dim}")
-        return cls(tuple(_ONE if j == index else _ZERO for j in range(dim)))
+        return cls._of_fractions(tuple(_ONE if j == index else _ZERO for j in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -161,18 +196,18 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._require_same_dim(other)
-        return Vec(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Vec._of_fractions(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._require_same_dim(other)
-        return Vec(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Vec._of_fractions(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Vec":
-        return Vec(tuple(-a for a in self.entries))
+        return Vec._of_fractions(tuple(-a for a in self.entries))
 
     def scale(self, factor: RationalLike) -> "Vec":
         f = to_rational(factor)
-        return Vec(tuple(f * a for a in self.entries))
+        return Vec._of_fractions(tuple(f * a for a in self.entries))
 
     def norm_sq(self) -> Fraction:
         return sum((a * a for a in self.entries), _ZERO)
@@ -216,7 +251,7 @@ class Mat:
         return self.rows[i]
 
     def column(self, j: int) -> Vec:
-        return Vec(tuple(r[j] for r in self.rows))
+        return Vec._of_fractions(tuple(r[j] for r in self.rows))
 
     def transpose(self) -> "Mat":
         return Mat(tuple(self.column(j) for j in range(self.n)))
@@ -225,7 +260,7 @@ class Mat:
         """Matrix-vector product."""
         if x.dim != self.n:
             raise ValueError(f"dimension mismatch: matrix width {self.n}, vector {x.dim}")
-        return Vec(tuple(r.dot(x) for r in self.rows))
+        return Vec._of_fractions(tuple(r.dot(x) for r in self.rows))
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.rows)
@@ -352,7 +387,7 @@ def _particular_solution(reduced: list[list[int]], pivots: list[int], n: int) ->
     point = [_ZERO] * n
     for row, col in zip(reduced, pivots):
         point[col] = _ratio(row[n], row[col])
-    return Vec.of(point)
+    return Vec._of_fractions(tuple(point))
 
 
 def _kernel_basis(reduced: list[list[int]], pivots: list[int], dim: int) -> list[Vec]:
@@ -366,7 +401,7 @@ def _kernel_basis(reduced: list[list[int]], pivots: list[int], dim: int) -> list
         v[free_col] = _ONE
         for row, piv_col in zip(reduced, pivots):
             v[piv_col] = _ratio(-row[free_col], row[piv_col])
-        basis.append(Vec.of(v))
+        basis.append(Vec._of_fractions(tuple(v)))
     return basis
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, file handling."""
 
+import argparse
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import hoffman
 import hoffman.convex
-from hoffman import InequalitySystem, save_system
+from hoffman import InequalitySystem, cli, save_system
 from hoffman.cli import main
 
 TRIANGLE = InequalitySystem.of([[1, 1], [-2, 1], [1, -2]], [1, 2, 3])
@@ -111,6 +112,57 @@ def test_enumerate_zero_level(triangle_file):
 def test_enumerate_requires_level(triangle_file):
     with pytest.raises(SystemExit):
         run_cli("enumerate", triangle_file)
+
+
+# -- in-process calls ------------------------------------------------------------
+
+
+def test_in_process_calls_build_the_parser_once(monkeypatch, tmp_path, triangle_file, infeasible_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    cert_path = str(tmp_path / "cert.json")
+    calls = [
+        ("check-eb", triangle_file),
+        ("check-eb", infeasible_file),
+        ("check-stability", triangle_file),
+        ("hoffman", triangle_file),
+        ("enumerate", triangle_file, "--level", "pos"),
+        ("enumerate", triangle_file, "--level", "zero"),
+        ("certify", infeasible_file, "--out", cert_path),
+        ("verify-cert", infeasible_file, cert_path),
+        ("bench", "--m-range", "1..2"),
+        ("check-eb", str(tmp_path / "missing.json")),
+    ] * 2
+    codes = [run_cli(*argv)[0] for argv in calls]
+    assert codes == [0, 3, 0, 0, 0, 0, 3, 0, 0, 2] * 2
+    assert built.count("hoffman") == 1
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_an_earlier_out_option_is_not_carried_over(tmp_path, infeasible_file):
+    cert_path = str(tmp_path / "cert.json")
+    code, report, _ = run_cli("certify", infeasible_file, "--out", cert_path)
+    assert (code, report["result"]["written"]) == (3, cert_path)
+    code, report, _ = run_cli("certify", infeasible_file)
+    assert (code, report["result"]["written"]) == (3, None)
+
+
+def test_an_earlier_level_is_not_carried_over(triangle_file):
+    code, report, _ = run_cli("enumerate", triangle_file, "--level", "zero")
+    assert (code, report["result"]["level"]) == (0, "zero")
+    err = io.StringIO()  # made after the parser, so argparse must look stderr up per call
+    with redirect_stderr(err), pytest.raises(SystemExit) as raised:
+        main(["enumerate", triangle_file])
+    assert raised.value.code == 2
+    assert "usage: hoffman enumerate" in err.getvalue()
+    assert "--level" in err.getvalue()
 
 
 def test_certify_verify_round_trip(tmp_path, infeasible_file):
@@ -275,6 +327,17 @@ def test_values_past_float_range_keep_their_exact_string(
     result = report["result"]
     assert result[exact_key] == {"exact": exact, "approx": approx}
     assert result[root_key] == pytest.approx(root, abs=0)
+
+
+def test_values_past_the_int_string_limit_are_printed_exactly(tmp_path):
+    # A 2201-digit literal parses; its sigma^2 = 10^4400 has more digits than
+    # str() of an int allows by default.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"A": [["1" + "0" * 2200]], "b": ["0"]}))
+    code, report, err = run_cli("check-eb", str(path))
+    assert code == 0, err
+    assert report["result"]["sigma_sq"] == {"exact": "1" + "0" * 4400, "approx": None}
+    assert report["result"]["sigma_approx"] is None
 
 
 @pytest.mark.parametrize("literal", ["1e200000", "2E3", "1_0"])

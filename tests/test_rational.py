@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from corpus import system_corpus
 from oracles import fraction_kernel_basis, fraction_particular_solution, fraction_rref
 
 from hoffman import (
@@ -12,12 +13,15 @@ from hoffman import (
     Mat,
     Vec,
     affine_hull_dim,
+    check_error_bound,
+    check_stability,
     format_rational,
     nullspace,
     parse_rational,
     rank,
     solve_linear,
     to_rational,
+    worst_case_system,
 )
 from hoffman.rational import solve_affine
 
@@ -73,6 +77,32 @@ def test_parse_format_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
 
+def _from_digits(digits: str) -> int:
+    """The int a decimal string names, read 500 digits at a time, so that the
+    interpreter's limit on int-to-str digits is not involved."""
+    value = 0
+    for start in range(0, len(digits), 500):
+        piece = digits[start:start + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_format_prints_values_past_the_int_string_limit():
+    # str() of an int refuses more than 4300 digits by default.
+    assert format_rational(Fraction(10**4400)) == "1" + "0" * 4400
+    assert format_rational(Fraction(-(10**5000 - 1))) == "-" + "9" * 5000
+    huge_den = 10**4400 + 3
+    assert format_rational(Fraction(7, huge_den)) == "7/1" + "0" * 4399 + "3"
+    digits = "".join(str((i * 7 + i // 13) % 10) for i in range(9001)).lstrip("0")
+    num, den = _from_digits(digits), _from_digits("1" + digits[:4500])
+    text = format_rational(Fraction(-num, den))
+    sign, body = text[0], text[1:]
+    assert sign == "-"
+    top, bottom = body.split("/")
+    assert Fraction(_from_digits(top), _from_digits(bottom)) == Fraction(num, den)
+    assert top[0] != "0" and bottom[0] != "0"
+
+
 def test_to_rational_accepts_int_fraction_str():
     assert to_rational(7) == 7
     assert to_rational(Fraction(2, 3)) == Fraction(2, 3)
@@ -112,7 +142,39 @@ def test_vec_requires_dimension_one():
     with pytest.raises(ValueError):
         Vec.of([])
     with pytest.raises(ValueError):
+        Vec(())
+    with pytest.raises(ValueError):
         Vec.zeros(0)
+
+
+def test_public_vec_constructors_still_coerce_and_validate():
+    v = Vec.of(["1/2", 3])
+    assert v.entries == (Fraction(1, 2), Fraction(3))
+    assert all(type(e) is Fraction for e in v)
+    assert all(type(e) is Fraction for e in Vec((1, "2")))
+    with pytest.raises(ValueError):
+        Vec.of(["1e2"])
+    with pytest.raises(TypeError):
+        Vec.of([0.5])
+
+
+def test_internal_vectors_hold_only_fractions(monkeypatch):
+    """Every vector the package builds without coercion holds `Fraction`
+    entries, through both verdicts on the corpus and a worst-case system."""
+    built = []
+    wrap = Vec._of_fractions.__func__
+
+    def recording(cls, entries):
+        built.append(entries)
+        return wrap(cls, entries)
+
+    monkeypatch.setattr(Vec, "_of_fractions", classmethod(recording))
+    for system in (*system_corpus(), worst_case_system(5)):
+        check_error_bound(system)
+        check_stability(system)
+    assert len(built) > 10_000
+    assert all(type(entries) is tuple and entries for entries in built)
+    assert all(type(e) is Fraction for entries in built for e in entries)
 
 
 def test_vec_unit_and_indexing():
