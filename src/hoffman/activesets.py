@@ -171,16 +171,16 @@ def realizability(system: InequalitySystem, indices: Iterable[int], level: Level
     for i in range(1, system.m + 1):
         row = _lifted_row(system, i, level)
         if i in inside:
-            eqs.append((Vec._of_fractions(row + (_ZERO,)), system.b[i - 1]))
+            eqs.append((Vec.wrap(row + (_ZERO,)), system.b[i - 1]))
         else:
-            ineqs.append((Vec._of_fractions(row + (_ONE,)), system.b[i - 1]))
+            ineqs.append((Vec.wrap(row + (_ONE,)), system.b[i - 1]))
     width = eqs[0][0].dim  # x, [level t,] margin s
     s_col = width - 1
     margin = Vec.unit(width, s_col)
     if level is Level.POSITIVE:
         guard = [_ZERO] * width
         guard[n], guard[s_col] = -_ONE, _ONE
-        ineqs.append((Vec._of_fractions(tuple(guard)), _ZERO))  # s <= t keeps the level positive
+        ineqs.append((Vec.wrap(tuple(guard)), _ZERO))  # s <= t keeps the level positive
     ineqs.append((margin, _ONE))
 
     outcome = solve_lp(
@@ -195,13 +195,13 @@ def realizability(system: InequalitySystem, indices: Iterable[int], level: Level
     assert outcome.optimal_value is not None and outcome.witness is not None
     if outcome.optimal_value <= 0:
         return None
-    return Vec._of_fractions(outcome.witness.entries[:n])
+    return Vec.wrap(outcome.witness.entries[:n])
 
 
 def _equal_level_consistent(system: InequalitySystem, indices: IndexSet, level: Level) -> bool:
     """Consistency of the equality block that pins `indices` to one level."""
-    rows = tuple(Vec._of_fractions(_lifted_row(system, i, level)) for i in indices)
-    rhs = Vec._of_fractions(tuple(system.b[i - 1] for i in indices))
+    rows = tuple(Vec.wrap(_lifted_row(system, i, level)) for i in indices)
+    rhs = Vec.wrap(tuple(system.b[i - 1] for i in indices))
     return solve_linear(Mat(rows), rhs) is not None
 
 

@@ -349,9 +349,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     assert coords is not None
     total, den = _combination(coords, int_kernel, n)
     if status is LpStatus.UNBOUNDED:
-        ray = Vec._of_fractions(tuple(Fraction(t, den) for t in total))
+        ray = Vec.wrap(tuple(Fraction(t, den) for t in total))
         return LpOutcome(LpStatus.UNBOUNDED, None, ray)
-    point = Vec._of_fractions(tuple(
+    point = Vec.wrap(tuple(
         Fraction(o * den + t * origin_den, origin_den * den) for o, t in zip(int_origin, total)
     ))
     return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)

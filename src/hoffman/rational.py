@@ -84,16 +84,16 @@ def parse_rational(text: str) -> Fraction:
 
 # `str` refuses an int past the interpreter's limit on digits (4300 by
 # default); `_decimal` splits larger ones into pieces it takes, so that the
-# process-wide limit is never changed.
-_PIECE_DIGITS = 1000
+# process-wide limit is never changed.  No limit can be set below 640
+# (`sys.int_info.str_digits_check_threshold`), so every piece of at most 640
+# digits passes `str` at any limit.
+_PIECE_DIGITS = 640
 _PIECE = 10**_PIECE_DIGITS
 
 
 def format_rational(value: Fraction) -> str:
     """Emit the canonical fraction form: "3", "-2/7", exactly at any size."""
     p, q = value.numerator, value.denominator
-    if -_PIECE < p < _PIECE and q < _PIECE:
-        return str(value)
     text = "-" + _decimal(-p) if p < 0 else _decimal(p)
     return text if q == 1 else f"{text}/{_decimal(q)}"
 
@@ -147,11 +147,12 @@ class Vec:
         return cls(tuple(values))
 
     @classmethod
-    def _of_fractions(cls, entries: tuple[Fraction, ...]) -> "Vec":
+    def wrap(cls, entries: tuple[Fraction, ...]) -> "Vec":
         """Wrap a nonempty tuple of `Fraction` as is, without coercing or checking.
 
-        For the package's own arithmetic and read-outs, which hold such a
-        tuple already; `Vec(...)` and `Vec.of` coerce and validate.
+        The caller guarantees the condition, as the package's arithmetic and
+        read-outs do; anything else goes through `Vec(...)` or `Vec.of`,
+        which coerce and validate.
         """
         vec = object.__new__(cls)
         object.__setattr__(vec, "entries", entries)
@@ -161,13 +162,13 @@ class Vec:
     def zeros(cls, dim: int) -> "Vec":
         if dim < 1:
             raise ValueError("vector dimension must be at least 1")
-        return cls._of_fractions((_ZERO,) * dim)
+        return cls.wrap((_ZERO,) * dim)
 
     @classmethod
     def unit(cls, dim: int, index: int) -> "Vec":
         if not 0 <= index < dim:
             raise ValueError(f"unit index {index} out of range for dimension {dim}")
-        return cls._of_fractions(tuple(_ONE if j == index else _ZERO for j in range(dim)))
+        return cls.wrap(tuple(_ONE if j == index else _ZERO for j in range(dim)))
 
     @property
     def dim(self) -> int:
@@ -196,18 +197,18 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._require_same_dim(other)
-        return Vec._of_fractions(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Vec.wrap(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._require_same_dim(other)
-        return Vec._of_fractions(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Vec.wrap(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Vec":
-        return Vec._of_fractions(tuple(-a for a in self.entries))
+        return Vec.wrap(tuple(-a for a in self.entries))
 
     def scale(self, factor: RationalLike) -> "Vec":
         f = to_rational(factor)
-        return Vec._of_fractions(tuple(f * a for a in self.entries))
+        return Vec.wrap(tuple(f * a for a in self.entries))
 
     def norm_sq(self) -> Fraction:
         return sum((a * a for a in self.entries), _ZERO)
@@ -251,7 +252,7 @@ class Mat:
         return self.rows[i]
 
     def column(self, j: int) -> Vec:
-        return Vec._of_fractions(tuple(r[j] for r in self.rows))
+        return Vec.wrap(tuple(r[j] for r in self.rows))
 
     def transpose(self) -> "Mat":
         return Mat(tuple(self.column(j) for j in range(self.n)))
@@ -260,7 +261,7 @@ class Mat:
         """Matrix-vector product."""
         if x.dim != self.n:
             raise ValueError(f"dimension mismatch: matrix width {self.n}, vector {x.dim}")
-        return Vec._of_fractions(tuple(r.dot(x) for r in self.rows))
+        return Vec.wrap(tuple(r.dot(x) for r in self.rows))
 
     def __iter__(self) -> Iterator[Vec]:
         return iter(self.rows)
@@ -387,7 +388,7 @@ def _particular_solution(reduced: list[list[int]], pivots: list[int], n: int) ->
     point = [_ZERO] * n
     for row, col in zip(reduced, pivots):
         point[col] = _ratio(row[n], row[col])
-    return Vec._of_fractions(tuple(point))
+    return Vec.wrap(tuple(point))
 
 
 def _kernel_basis(reduced: list[list[int]], pivots: list[int], dim: int) -> list[Vec]:
@@ -401,7 +402,7 @@ def _kernel_basis(reduced: list[list[int]], pivots: list[int], dim: int) -> list
         v[free_col] = _ONE
         for row, piv_col in zip(reduced, pivots):
             v[piv_col] = _ratio(-row[free_col], row[piv_col])
-        basis.append(Vec._of_fractions(tuple(v)))
+        basis.append(Vec.wrap(tuple(v)))
     return basis
 
 

@@ -44,10 +44,27 @@ def test_every_public_name_is_declared_by_exactly_one_module():
         assert getattr(hoffman, name) is getattr(owners[0], name)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_no_module_imports_a_private_name_of_another():
+    """Neither `from .m import _x` nor `X._x` on a name X imported from the package."""
     found = []
     for path in sorted(Path(hoffman.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hoffman")):
-                found += [(path.name, alias.name) for alias in node.names if alias.name.startswith("_")]
+                found += [(path.name, alias.name) for alias in node.names if _private(alias.name)]
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names if alias.name.startswith("hoffman")}
+        found += [
+            (path.name, f"{node.value.id}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in imported and _private(node.attr)
+        ]
     assert found == []

@@ -339,6 +339,21 @@ def test_values_past_the_int_string_limit_are_printed_exactly(tmp_path):
     assert report["result"]["sigma_approx"] is None
 
 
+def test_values_are_printed_at_the_lowest_int_string_limit(tmp_path):
+    # At a limit of 640 digits, a 400-digit literal parses and its
+    # sigma^2 = 10^798 has more digits than str() of an int allows.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"A": [["1" + "0" * 399]], "b": ["0"]}))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, report, err = run_cli("check-eb", str(path))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0, err
+    assert report["result"]["sigma_sq"]["exact"] == "1" + "0" * 798
+
+
 @pytest.mark.parametrize("literal", ["1e200000", "2E3", "1_0"])
 def test_exponent_and_underscore_literals_are_an_input_error(tmp_path, literal):
     path = tmp_path / "exponent.json"

@@ -1,5 +1,6 @@
 """Exact scalar, vector, matrix, and linear-algebra layer."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,18 @@ def test_format_prints_values_past_the_int_string_limit():
     assert top[0] != "0" and bottom[0] != "0"
 
 
+def test_format_prints_any_size_at_the_lowest_int_string_limit():
+    # The interpreter's limit on int-to-str digits can be set as low as 640.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert format_rational(Fraction(10**799)) == "1" + "0" * 799
+        assert format_rational(Fraction(-(10**5000 - 1))) == "-" + "9" * 5000
+        assert format_rational(Fraction(7, 10**799 + 3)) == "7/1" + "0" * 798 + "3"
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_to_rational_accepts_int_fraction_str():
     assert to_rational(7) == 7
     assert to_rational(Fraction(2, 3)) == Fraction(2, 3)
@@ -154,13 +167,13 @@ def test_internal_vectors_hold_only_fractions(monkeypatch):
     """Every vector the package builds without coercion holds `Fraction`
     entries, through both verdicts on the corpus and a worst-case system."""
     built = []
-    wrap = Vec._of_fractions.__func__
+    wrap = Vec.wrap.__func__
 
     def recording(cls, entries):
         built.append(entries)
         return wrap(cls, entries)
 
-    monkeypatch.setattr(Vec, "_of_fractions", classmethod(recording))
+    monkeypatch.setattr(Vec, "wrap", classmethod(recording))
     for system in (*system_corpus(), worst_case_system(5)):
         check_error_bound(system)
         check_stability(system)
