@@ -328,30 +328,21 @@ def test_values_past_float_range_keep_their_exact_string(
     assert result[root_key] == pytest.approx(root, abs=0)
 
 
-def test_values_past_the_int_string_limit_are_printed_exactly(tmp_path):
-    # A 2201-digit literal parses; its sigma^2 = 10^4400 has more digits than
-    # str() of an int allows by default.
+@pytest.mark.parametrize("limit, zeros", [(4300, 2200), (640, 399)])
+def test_values_past_the_int_string_limit_are_printed_exactly(tmp_path, limit, zeros):
+    # A literal within the limit on int-to-str digits (4300 by default, 640
+    # at the lowest) parses; its sigma^2 = 10^(2 * zeros) has more digits.
     path = tmp_path / "long.json"
-    path.write_text(json.dumps({"A": [["1" + "0" * 2200]], "b": ["0"]}))
-    code, report, err = run_cli("check-eb", str(path))
-    assert code == 0, err
-    assert report["result"]["sigma_sq"] == {"exact": "1" + "0" * 4400, "approx": None}
-    assert report["result"]["sigma_approx"] is None
-
-
-def test_values_are_printed_at_the_lowest_int_string_limit(tmp_path):
-    # At a limit of 640 digits, a 400-digit literal parses and its
-    # sigma^2 = 10^798 has more digits than str() of an int allows.
-    path = tmp_path / "long.json"
-    path.write_text(json.dumps({"A": [["1" + "0" * 399]], "b": ["0"]}))
+    path.write_text(json.dumps({"A": [["1" + "0" * zeros]], "b": ["0"]}))
     saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(limit)
     try:
         code, report, err = run_cli("check-eb", str(path))
     finally:
         sys.set_int_max_str_digits(saved)
     assert code == 0, err
-    assert report["result"]["sigma_sq"]["exact"] == "1" + "0" * 798
+    assert report["result"]["sigma_sq"] == {"exact": "1" + "0" * (2 * zeros), "approx": None}
+    assert report["result"]["sigma_approx"] is None
 
 
 @pytest.mark.parametrize("literal", ["1e200000", "2E3", "1_0"])
