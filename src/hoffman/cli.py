@@ -2,7 +2,8 @@
 
 Every command reads exact JSON input, prints one JSON report to stdout, and
 exits with 0 (affirmative verdict or plain success), 3 (negative verdict),
-2 (input error), or 1 (internal error).  The environment variable
+2 (input error), or 1 (internal error, or stdout closed before the report
+was written, as by `hoffman ... | head`).  The environment variable
 HOFFMAN_THREADS caps the number of worker threads used by the enumeration
 stages; the default is the machine's CPU count.
 
@@ -298,12 +299,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - began) * 1000.0
     report = make_report(args.command, digest, elapsed_ms, result)
-    print(json.dumps(report, indent=2))
+    # The text of json.dumps(report, indent=2), written piece by piece, so
+    # that a large report is never held as one string.
+    sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(report))
+    sys.stdout.write("\n")
     return code
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`hoffman ... | head`).  Point stdout
+        # at devnull so that the flush at exit does not fail again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_INTERNAL
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from .lp import LinearProgram, LpStatus, solve_lp
-from .rational import Mat, Vec, affine_hull_dim, nullspace, solve_linear, sqrt_approx
+from .rational import Vec, affine_hull_dim, nullspace, solve_integer_system, sqrt_approx
 
 __all__ = [
     "Trichotomy",
@@ -129,21 +130,6 @@ def minmax_sign(points: Sequence[Vec]) -> Trichotomy:
     return Trichotomy.ZERO
 
 
-def _affine_minimizer(corral: Sequence[Vec]) -> list[Fraction]:
-    """Barycentric weights of the point of least norm in aff(corral).
-
-    Solves the normal equations {sum_j <p_i, p_j> v_j + mu = 0, sum v_j = 1},
-    which are regular exactly when the corral is affinely independent.
-    """
-    k = len(corral)
-    rows = [[p.dot(q) for q in corral] + [_ONE] for p in corral]
-    rows.append([_ONE] * k + [_ZERO])
-    solution = solve_linear(Mat.of(rows), Vec.of([_ZERO] * k + [_ONE]))
-    if solution is None or not solution.unique:
-        raise RuntimeError("the corral of the nearest-point method lost affine independence")
-    return list(solution.point.entries[:k])
-
-
 def _combine(weights: Sequence[Fraction], corral: Sequence[Vec]) -> Vec:
     point = corral[0].scale(weights[0])
     for w, p in zip(weights[1:], corral[1:]):
@@ -165,6 +151,18 @@ def _checked_nearest(pts: Sequence[Vec], corral: Sequence[Vec], weights: Sequenc
     return point
 
 
+def _integer_gram(pts: Sequence[Vec]) -> list[list[int]]:
+    """Gram matrix of the points scaled to integer vectors by the lcm of all
+    their denominators: every inner product times one positive factor."""
+    scale = lcm(*[x.denominator for p in pts for x in p.entries])
+    vecs = [[x.numerator * (scale // x.denominator) for x in p.entries] for p in pts]
+    gram = [[0] * len(vecs) for _ in vecs]
+    for i, u in enumerate(vecs):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(u, vecs[j]))
+    return gram
+
+
 def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
     """Nearest point of conv(points) to the origin and its squared distance.
 
@@ -179,34 +177,53 @@ def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
     corral repeats and the method is finite.  The nearest point is unique, so
     the result does not depend on the path; it is checked by substitution
     before it is returned, and a failed check raises RuntimeError.
+
+    Every step runs on one integer Gram matrix G of the points scaled to
+    integers, which scales the hull, its nearest point and every comparison
+    by one positive factor and leaves the weights as they are.  The weights
+    are integer numerators over one common denominator, so x is
+    sum(lam_j p_j) / den, <x, p_i> is values[i] / den and <x, x> is
+    norm / den**2 in those units.
     """
     pts = _dedupe(_validated(points))
-    first = min(range(len(pts)), key=lambda i: pts[i].norm_sq())
-    corral, weights = [pts[first]], [_ONE]
-    point = pts[first]
-    dist_sq = point.norm_sq()
+    gram = _integer_gram(pts)
+    first = min(range(len(pts)), key=lambda i: gram[i][i])
+    corral, lam, den = [first], [1], 1
+    previous: tuple[int, int] | None = None
     while True:
-        values = [p.dot(point) for p in pts]
-        best = min(range(len(pts)), key=values.__getitem__)
-        if values[best] >= dist_sq:
-            break
-        corral.append(pts[best])
-        weights.append(_ZERO)
-        while True:
-            target = _affine_minimizer(corral)
-            if all(v > 0 for v in target):
-                weights = target
-                break
-            theta = min(w / (w - v) for w, v in zip(weights, target) if v <= 0)
-            weights = [(1 - theta) * w + theta * v for w, v in zip(weights, target)]
-            kept = [i for i, w in enumerate(weights) if w]
-            corral = [corral[i] for i in kept]
-            weights = [weights[i] for i in kept]
-        point = _combine(weights, corral)
-        previous, dist_sq = dist_sq, point.norm_sq()
-        if dist_sq >= previous:
+        values = [sum(l * row[c] for c, l in zip(corral, lam)) for row in gram]
+        norm = sum(l * values[c] for c, l in zip(corral, lam))
+        if previous is not None and norm * previous[1] ** 2 >= previous[0] * den * den:
             raise RuntimeError("nearest-point method made no progress")
-    point = _checked_nearest(pts, corral, weights)
+        previous = norm, den
+        best = min(range(len(pts)), key=values.__getitem__)
+        if values[best] * den >= norm:
+            break
+        corral.append(best)
+        lam.append(0)
+        while True:
+            k = len(corral)
+            system = [[gram[i][j] for j in corral] + [1, 0] for i in corral]
+            system.append([1] * k + [0, 1])
+            solution = solve_integer_system(system)
+            if solution is None:
+                raise RuntimeError("the corral of the nearest-point method lost affine independence")
+            target, tden = solution[0][:k], solution[1]
+            if all(t > 0 for t in target):
+                lam, den = target, tden
+                break
+            # Back to the boundary, by the least theta = w / (w - v) over the
+            # points whose target weight v is not positive.
+            theta = min(Fraction(l * tden, l * tden - t * den) for l, t in zip(lam, target) if t <= 0)
+            a, b = theta.numerator, theta.denominator
+            lam = [(b - a) * tden * l + a * den * t for l, t in zip(lam, target)]
+            den = b * den * tden
+            g = gcd(den, *lam)
+            kept = [i for i, l in enumerate(lam) if l]
+            corral = [corral[i] for i in kept]
+            lam, den = [lam[i] // g for i in kept], den // g
+    weights = [Fraction(l, den) for l in lam]
+    point = _checked_nearest(pts, [pts[c] for c in corral], weights)
     return point, point.norm_sq()
 
 

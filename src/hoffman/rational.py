@@ -288,6 +288,12 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
         ratios = [x.as_integer_ratio() for x in row]
         scale = lcm(*[q for _, q in ratios])
         mat.append([p for p, _ in ratios] if scale == 1 else [p * (scale // q) for p, q in ratios])
+    return _eliminate(mat)
+
+
+def _eliminate(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The elimination of `_rref` on rows that are already integer; it
+    rearranges and replaces the rows of `mat` in place."""
     pivots: list[int] = []
     if not mat:
         return mat, pivots
@@ -381,6 +387,25 @@ def solve_affine(rows: Sequence[Vec], rhs: Sequence[Fraction], dim: int) -> tupl
     if any(p == dim for p in pivots):
         return None
     return _particular_solution(reduced, pivots, dim), _kernel_basis(reduced, pivots, dim)
+
+
+def solve_integer_system(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """The solution of a square integer system, as integer numerators over
+    one positive common denominator in lowest terms; None when it is singular.
+
+    `rows` are those of `[M | rhs]` with M of size n x n, and are left as
+    they are.  The solution comes from the one elimination of `_rref`.
+    `convex` solves the corral system of Wolfe's method with it; it is not
+    part of the package surface.
+    """
+    n = len(rows)
+    reduced, pivots = _eliminate(list(rows))
+    if pivots != list(range(n)):
+        return None
+    den = lcm(*[row[k] for k, row in enumerate(reduced)])
+    nums = [row[n] * (den // row[k]) for k, row in enumerate(reduced)]
+    g = gcd(den, *nums)
+    return [a // g for a in nums], den // g
 
 
 def _particular_solution(reduced: list[list[int]], pivots: list[int], n: int) -> Vec:

@@ -136,6 +136,63 @@ def fraction_kernel_basis(reduced: list[list[Fraction]], pivots: list[int], dim:
     return basis
 
 
+# -- Wolfe's nearest-point method over Fraction ---------------------------------
+
+
+def _fraction_affine_minimizer(corral: Sequence[Vec]) -> list[Fraction]:
+    """Barycentric weights of the point of least norm in aff(corral), from the
+    normal equations {sum_j <p_i, p_j> v_j + mu = 0, sum v_j = 1}."""
+    k = len(corral)
+    rows = [[p.dot(q) for q in corral] + [_ONE] for p in corral]
+    rows.append([_ONE] * k + [_ZERO])
+    solution = solve_linear(Mat.of(rows), Vec.of([_ZERO] * k + [_ONE]))
+    if solution is None or not solution.unique:
+        raise RuntimeError("the corral of the nearest-point method lost affine independence")
+    return list(solution.point.entries[:k])
+
+
+def _fraction_combine(weights: Sequence[Fraction], corral: Sequence[Vec]) -> Vec:
+    point = corral[0].scale(weights[0])
+    for w, p in zip(weights[1:], corral[1:]):
+        if w:
+            point = point + p.scale(w)
+    return point
+
+
+def fraction_min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
+    """Wolfe's nearest-point method over `Fraction`: the steps
+    `convex.min_norm_point_sq` took before they ran on one integer Gram
+    matrix, kept as its reference.  Every Gram row comes from `Vec.dot`, and
+    every minor step solves the whole corral system again."""
+    pts = list(dict.fromkeys(points))
+    first = min(range(len(pts)), key=lambda i: pts[i].norm_sq())
+    corral, weights = [pts[first]], [_ONE]
+    point = pts[first]
+    dist_sq = point.norm_sq()
+    while True:
+        values = [p.dot(point) for p in pts]
+        best = min(range(len(pts)), key=values.__getitem__)
+        if values[best] >= dist_sq:
+            break
+        corral.append(pts[best])
+        weights.append(_ZERO)
+        while True:
+            target = _fraction_affine_minimizer(corral)
+            if all(v > 0 for v in target):
+                weights = target
+                break
+            theta = min(w / (w - v) for w, v in zip(weights, target) if v <= 0)
+            weights = [(1 - theta) * w + theta * v for w, v in zip(weights, target)]
+            kept = [i for i, w in enumerate(weights) if w]
+            corral = [corral[i] for i in kept]
+            weights = [weights[i] for i in kept]
+        point = _fraction_combine(weights, corral)
+        previous, dist_sq = dist_sq, point.norm_sq()
+        if dist_sq >= previous:
+            raise RuntimeError("nearest-point method made no progress")
+    return point, dist_sq
+
+
 # -- exact simplex over Fraction ------------------------------------------------
 
 

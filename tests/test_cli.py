@@ -13,7 +13,7 @@ import pytest
 
 import hoffman
 import hoffman.convex
-from hoffman import InequalitySystem, cli, save_system
+from hoffman import InequalitySystem, cli, save_system, worst_case_system
 from hoffman.cli import main
 
 TRIANGLE = InequalitySystem.of([[1, 1], [-2, 1], [1, -2]], [1, 2, 3])
@@ -405,6 +405,38 @@ def test_installed_entry_point_smoke(triangle_file):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["result"]["sigma_sq"]["exact"] == "1/2"
+
+
+@pytest.mark.parametrize("argv", [["check-eb"], ["check-stability"], ["enumerate", "--level", "pos"]])
+def test_report_text_is_that_of_json_dumps(monkeypatch, triangle_file, argv):
+    reports = []
+
+    def kept(*args):
+        reports.append(make_report(*args))
+        return reports[-1]
+
+    make_report = cli.make_report
+    monkeypatch.setattr(cli, "make_report", kept)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main([argv[0], triangle_file, *argv[1:]])
+    assert out.getvalue() == json.dumps(reports[0], indent=2) + "\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    path = tmp_path / "id9.json"
+    save_system(worst_case_system(9), path)  # a report of about 140 KB, past the pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hoffman.cli", "enumerate", str(path), "--level", "pos"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_package_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
 
 
 def test_numpy_is_loaded_only_by_sampling(triangle_file):

@@ -9,7 +9,7 @@ import pytest
 from corpus import point_corpus, system_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import min_norm_point_by_faces
+from oracles import fraction_min_norm_point_sq, min_norm_point_by_faces
 
 from hoffman import (
     LinearProgram,
@@ -37,11 +37,11 @@ ANTIPODAL = [Vec.of([1, 1]), Vec.of([-1, -1])]
 
 
 @st.composite
-def point_sets(draw, max_points=5):
+def point_sets(draw, max_points=5, scalars=rationals):
     n = draw(st.integers(min_value=1, max_value=3))
     k = draw(st.integers(min_value=1, max_value=max_points))
     return [
-        Vec.of(draw(st.lists(rationals, min_size=n, max_size=n))) for _ in range(k)
+        Vec.of(draw(st.lists(scalars, min_size=n, max_size=n))) for _ in range(k)
     ]
 
 
@@ -254,10 +254,10 @@ def test_min_norm_point_ignores_duplicates():
 
 
 @st.composite
-def point_sets_with_repeats(draw):
+def point_sets_with_repeats(draw, scalars=rationals):
     """point_sets() plus repeated points and, sometimes, a point's mirror
     image, which puts the origin in the hull."""
-    pts = draw(point_sets())
+    pts = draw(point_sets(scalars=scalars))
     pts += draw(st.lists(st.sampled_from(pts), max_size=3))
     if draw(st.booleans()):
         pts.append(-draw(st.sampled_from(pts)))
@@ -291,6 +291,43 @@ def test_min_norm_point_matches_face_enumeration(pts):
 @settings(max_examples=100, deadline=None)
 def test_value_sign_is_the_sign(pts):
     assert_value_sign_is_the_sign(pts)
+
+
+def assert_matches_fraction_wolfe(pts):
+    point, dist_sq = min_norm_point_sq(pts)
+    assert (point, dist_sq) == fraction_min_norm_point_sq(pts)
+    assert all(type(x) is Fraction for x in point.entries + (dist_sq,))
+
+
+def test_min_norm_point_matches_fraction_wolfe_on_the_corpora():
+    for pts in point_corpus():
+        assert_matches_fraction_wolfe(pts)
+    rows = worst_case_system(6).A.rows
+    for size in range(1, len(rows) + 1):
+        for subset in combinations(rows, size):
+            assert_matches_fraction_wolfe(subset)
+    for system in system_corpus():
+        rows = system.A.rows
+        for size in range(1, len(rows) + 1):
+            for subset in combinations(rows, size):
+                assert_matches_fraction_wolfe(subset)
+
+
+@given(point_sets_with_repeats())
+@settings(max_examples=100, deadline=None)
+def test_min_norm_point_matches_fraction_wolfe(pts):
+    assert_matches_fraction_wolfe(pts)
+
+
+# Numerators up to 10**40 over denominators up to 12: the integer Gram matrix
+# scales by the lcm of every denominator in the set.
+wide_rationals = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 12))
+
+
+@given(point_sets_with_repeats(scalars=wide_rationals))
+@settings(max_examples=100, deadline=None)
+def test_min_norm_point_matches_fraction_wolfe_on_wide_entries(pts):
+    assert_matches_fraction_wolfe(pts)
 
 
 def test_nearest_point_check_rejects_wrong_answers():
