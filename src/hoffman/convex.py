@@ -14,12 +14,13 @@ rationals; floats only appear as display annotations.
 
 Each sign question has one exact solver, and none rounds.  Whether the
 origin lies outside the hull is read from Wolfe's nearest-point method, run
-over the rationals: the nearest point is exact, it is checked by substitution
-against every point of the set, and a positive distance is both the negative
-sign and its magnitude.  When the nearest point is the origin, one margin
-program, max t subject to {sum(l_i d_i) = 0, sum(l_i) = 1, l_i >= t}, tells
-zero from positive: the origin is interior exactly when the margin is
-positive and the hull is full-dimensional.
+exactly on one integer Gram matrix per call: the nearest point is exact, it
+is checked by substitution against every point of the set, and a positive
+distance is both the negative sign and its magnitude.  When the nearest
+point is the origin, one margin program, max t subject to
+{sum(l_i d_i) = 0, sum(l_i) = 1, l_i >= t}, tells zero from positive: the
+origin is interior exactly when the margin is positive and the hull is
+full-dimensional.
 """
 
 from __future__ import annotations
