@@ -409,13 +409,12 @@ def test_installed_entry_point_smoke(triangle_file):
 
 @pytest.mark.parametrize("argv", [["check-eb"], ["check-stability"], ["enumerate", "--level", "pos"]])
 def test_report_text_is_that_of_json_dumps(monkeypatch, triangle_file, argv):
-    reports = []
+    make_report, reports = cli.make_report, []
 
     def kept(*args):
         reports.append(make_report(*args))
         return reports[-1]
 
-    make_report = cli.make_report
     monkeypatch.setattr(cli, "make_report", kept)
     out = io.StringIO()
     with redirect_stdout(out):
@@ -426,16 +425,16 @@ def test_report_text_is_that_of_json_dumps(monkeypatch, triangle_file, argv):
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     path = tmp_path / "id9.json"
     save_system(worst_case_system(9), path)  # a report of about 140 KB, past the pipe buffer
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "hoffman.cli", "enumerate", str(path), "--level", "pos"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_package_env(),
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait() == 1
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err
 
 
