@@ -29,11 +29,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 from typing import Sequence
 
 from .lp import LinearProgram, LpStatus, solve_lp
-from .rational import Vec, affine_hull_dim, nullspace, solve_integer_system, sqrt_approx
+from .rational import (
+    Vec,
+    affine_hull_dim,
+    integer_dot,
+    integer_row,
+    nullspace,
+    primitive_row,
+    solve_integer_system,
+    sqrt_approx,
+)
 
 __all__ = [
     "Trichotomy",
@@ -139,28 +147,32 @@ def _combine(weights: Sequence[Fraction], corral: Sequence[Vec]) -> Vec:
     return point
 
 
-def _checked_nearest(pts: Sequence[Vec], corral: Sequence[Vec], weights: Sequence[Fraction]) -> Vec:
-    """The point sum(w_i c_i), checked by substitution to be the nearest point
-    of conv(pts): the weights are convex, and no point of the set lies
-    strictly on the origin's side of the hyperplane through it normal to it."""
+def _checked_nearest(
+    pts: Sequence[Vec], corral: Sequence[Vec], weights: Sequence[Fraction]
+) -> tuple[Vec, Fraction]:
+    """The point sum(w_i c_i) and its squared norm, checked by substitution
+    to be the nearest point of conv(pts): the weights are convex, and no
+    point of the set lies strictly on the origin's side of the hyperplane
+    through it normal to it."""
     if any(w < 0 for w in weights) or sum(weights, _ZERO) != 1:
         raise RuntimeError("nearest-point weights are not convex")
     point = _combine(weights, corral)
     dist_sq = point.norm_sq()
     if any(p.dot(point) < dist_sq for p in pts):
         raise RuntimeError("nearest-point result failed its optimality check")
-    return point
+    return point, dist_sq
 
 
 def _integer_gram(pts: Sequence[Vec]) -> list[list[int]]:
     """Gram matrix of the points scaled to integer vectors by the lcm of all
     their denominators: every inner product times one positive factor."""
-    scale = lcm(*[x.denominator for p in pts for x in p.entries])
-    vecs = [[x.numerator * (scale // x.denominator) for x in p.entries] for p in pts]
+    n = pts[0].dim
+    flat, _ = integer_row([x for p in pts for x in p.entries])
+    vecs = [flat[i:i + n] for i in range(0, len(flat), n)]
     gram = [[0] * len(vecs) for _ in vecs]
     for i, u in enumerate(vecs):
         for j in range(i + 1):
-            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(u, vecs[j]))
+            gram[i][j] = gram[j][i] = integer_dot(u, vecs[j])
     return gram
 
 
@@ -218,14 +230,11 @@ def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
             theta = min(Fraction(l * tden, l * tden - t * den) for l, t in zip(lam, target) if t <= 0)
             a, b = theta.numerator, theta.denominator
             lam = [(b - a) * tden * l + a * den * t for l, t in zip(lam, target)]
-            den = b * den * tden
-            g = gcd(den, *lam)
             kept = [i for i, l in enumerate(lam) if l]
             corral = [corral[i] for i in kept]
-            lam, den = [lam[i] // g for i in kept], den // g
+            den, *lam = primitive_row([b * den * tden] + [lam[i] for i in kept])
     weights = [Fraction(l, den) for l in lam]
-    point = _checked_nearest(pts, [pts[c] for c in corral], weights)
-    return point, point.norm_sq()
+    return _checked_nearest(pts, [pts[c] for c in corral], weights)
 
 
 def _supporting_halfspace(subset: Sequence[Vec], pts: Sequence[Vec], dim: int) -> tuple[Vec, Fraction] | None:

@@ -9,16 +9,13 @@ nonnegative pairs, and the remaining inequality-only program runs on a dense
 tableau.  Bland's pivoting rule rules out cycling without any perturbation
 tricks, and the whole pipeline is deterministic for a fixed input.
 
-The tableau is fraction-free: it holds Python integers only, in the manner
-of Edmonds (1967) and Avis's lrs.  Each kernel vector is scaled by the least
-common multiple of its denominators, which only rescales its column, and
-each inequality row is scaled to integers together with its bound.  The
-invariant is that every tableau row, and the objective row, is a positive
-multiple of the row the same simplex holds over `Fraction`; slack and
-artificial entries carry the row's scale rather than 1, so neither the
-phase-one objective nor a ray along a slack is reweighted.  A pivot turns
-the pivot row to a positive pivot p and replaces every other row by
-`(p * row - f * prow) / gcd`, with f the row's entry in the entering column.
+The tableau holds Python integers only, in the integer row format of
+`rational`, and pivots with its `clear_column`.  Each kernel vector is
+scaled to integers, which only rescales its column, and each inequality row
+together with its bound.  The invariant is that every tableau row, and the
+objective row, is a positive multiple of the row the same simplex holds over
+`Fraction`; slack and artificial entries carry the row's scale rather than
+1, so neither the phase-one objective nor a ray along a slack is reweighted.
 Bland's rule reads only signs and ratios, which positive row multiples keep:
 the entering column is the first with a positive objective entry, and the
 leaving row minimises `rhs_r / a_r`, compared by cross-multiplying (every
@@ -33,11 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .rational import RationalLike, Vec, solve_affine, to_rational
+from .rational import (
+    RationalLike,
+    Vec,
+    clear_column,
+    eliminate_row,
+    integer_dot,
+    integer_row,
+    primitive_row,
+    solve_affine,
+    to_rational,
+)
 
 __all__ = [
     "LpStatus",
@@ -127,30 +132,11 @@ class FeasibilityResult:
         return self.point is not None
 
 
-def _reduced(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (an all-zero row stays)."""
-    g = gcd(*row)
-    return row if g <= 1 else [v // g for v in row]
-
-
-def _eliminate(row: list[int], f: int, prow: list[int], p: int) -> list[int]:
-    """`(p*row - f*prow) / gcd`: clears the pivot column for a pivot p > 0."""
-    return _reduced([p * a - f * b for a, b in zip(row, prow)])
-
-
 def _pivot(tab: list[list[int]], obj: list[int], basis: list[int], leave: int, enter: int) -> None:
-    prow = tab[leave]
-    p = prow[enter]
-    if p < 0:
-        p = -p
-        prow = tab[leave] = [-v for v in prow]
-    for r, row in enumerate(tab):
-        f = row[enter]
-        if f and r != leave:
-            tab[r] = _eliminate(row, f, prow, p)
+    lead = clear_column(tab, leave, enter)
     f = obj[enter]
     if f:
-        obj[:] = _eliminate(obj, f, prow, p)
+        obj[:] = eliminate_row(obj, f, lead, lead[enter])
     basis[leave] = enter
 
 
@@ -159,7 +145,7 @@ def _price_out(obj: list[int], tab: list[list[int]], basis: list[int]) -> list[i
     for row, col in zip(tab, basis):
         f = obj[col]
         if f:
-            obj = _eliminate(obj, f, row, row[col])
+            obj = eliminate_row(obj, f, row, row[col])
     return obj
 
 
@@ -235,21 +221,18 @@ def _solve_ineq_lp(
     next_art = art_start
     for r, (coeffs, rhs, scale) in enumerate(kept):
         row = [0] * (width + 1)
+        row[:k] = coeffs
+        row[k:nstruct] = [-c for c in coeffs]
+        row[nstruct + r] = scale
+        row[-1] = rhs
         if rhs < 0:
-            row[:k] = [-c for c in coeffs]
-            row[k:nstruct] = coeffs
-            row[nstruct + r] = -scale
+            row = [-v for v in row]
             row[next_art] = scale
-            row[-1] = -rhs
             basis.append(next_art)
             next_art += 1
         else:
-            row[:k] = coeffs
-            row[k:nstruct] = [-c for c in coeffs]
-            row[nstruct + r] = scale
-            row[-1] = rhs
             basis.append(nstruct + r)
-        tab.append(_reduced(row))
+        tab.append(primitive_row(row))
 
     if width > art_start:
         obj = [0] * (width + 1)
@@ -294,33 +277,15 @@ def _solve_ineq_lp(
     return LpStatus.UNBOUNDED, [values[j] - values[k + j] for j in range(k)]
 
 
-def _integers(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """`(scale * values, scale)` for the least positive integer scale."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*[q for _, q in ratios])
-    if scale == 1:
-        return [p for p, _ in ratios], 1
-    return [p * (scale // q) for p, q in ratios], scale
-
-
-def _dot(a: Iterable[int], b: Iterable[int]) -> int:
-    return sum(map(mul, a, b))
-
-
-def _combination(coords: list[Fraction], kernel: Sequence[list[int]], n: int) -> tuple[list[int], int]:
+def _combination(coords: list[Fraction], kernel: Sequence[list[int]]) -> tuple[list[int], int]:
     """`sum_j coords[j] * kernel[j]` as integer numerators over one denominator."""
-    nums, den = _integers(coords)
-    total = [0] * n
-    for q, kv in zip(nums, kernel):
-        if q:
-            total = [t + q * v for t, v in zip(total, kv)]
-    return total, den
+    nums, den = integer_row(coords)
+    return [integer_dot(nums, column) for column in zip(*kernel)], den
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact two-phase simplex; deterministic for a fixed input."""
-    n = lp.n
-    reduced = solve_affine([vec for vec, _ in lp.eq_constraints], [b for _, b in lp.eq_constraints], n)
+    reduced = solve_affine([vec for vec, _ in lp.eq_constraints], [b for _, b in lp.eq_constraints], lp.n)
     if reduced is None:
         return LpOutcome(LpStatus.INFEASIBLE)
     origin, kernel = reduced
@@ -330,24 +295,24 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(LpStatus.INFEASIBLE)
     # x = origin + sum_j q_j * int_kernel[j], where int_kernel[j] is kernel[j]
     # times col_scales[j]; the tableau works in the coordinates q.
-    int_kernel, col_scales = zip(*map(_integers, kernel))
-    int_origin, origin_den = _integers(origin)
+    int_kernel, col_scales = zip(*map(integer_row, kernel))
+    int_origin, origin_den = integer_row(origin)
     rows = []
     for vec, bound in lp.ineq_constraints:
         # vec . x <= bound, in the coordinates q, times origin_den * row_den
-        ints, row_den = _integers(vec.entries + (bound,))
+        ints, row_den = integer_row(vec.entries + (bound,))
         a = ints[:-1]
         rows.append((
-            [origin_den * _dot(a, kv) for kv in int_kernel],
-            ints[-1] * origin_den - _dot(a, int_origin),
+            [origin_den * integer_dot(a, kv) for kv in int_kernel],
+            ints[-1] * origin_den - integer_dot(a, int_origin),
             origin_den * row_den,
         ))
-    c, cost_scale = _integers(lp.objective)
-    status, coords = _solve_ineq_lp([_dot(c, kv) for kv in int_kernel], rows, col_scales, cost_scale)
+    c, cost_scale = integer_row(lp.objective)
+    status, coords = _solve_ineq_lp([integer_dot(c, kv) for kv in int_kernel], rows, col_scales, cost_scale)
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     assert coords is not None
-    total, den = _combination(coords, int_kernel, n)
+    total, den = _combination(coords, int_kernel)
     if status is LpStatus.UNBOUNDED:
         ray = Vec.wrap(tuple(Fraction(t, den) for t in total))
         return LpOutcome(LpStatus.UNBOUNDED, None, ray)

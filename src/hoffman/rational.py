@@ -6,16 +6,20 @@ reliable even on boundary cases.  Vectors and matrices are immutable; every
 operation returns a fresh value, which makes all of this safe to use from
 concurrent callers.
 
-Every solve, rank and kernel goes through one fraction-free Gauss-Jordan
-elimination on integer rows, with the step of the integer tableau in `lp`
-(a gcd division where Bareiss 1968 divides by the previous pivot).  Each
-row is scaled to integers by the least common multiple of its denominators,
-and a pivot p in column c replaces every other row by
-`(p * row - row[c] * lead) / gcd`, which keeps each row a nonzero multiple
-of the row the `Fraction` elimination holds.  The reduced row echelon form
-is unique, so its entry (k, j) is read out exactly as
-`Fraction(rows[k][j], rows[k][pivots[k]])`, and only for the entries a
-caller reads.
+Every exact elimination in the package runs on one integer row format, in
+the fraction-free manner of Edmonds (1967) and Bareiss (1968), with a gcd
+division where Bareiss divides by the previous pivot.  `integer_row` scales
+a row to integers by the lcm of its denominators, `primitive_row` divides
+it by the gcd of its entries, and `clear_column` pivots: it makes the pivot
+p positive and replaces every other row by `(p * row - f * lead) / gcd`
+(`eliminate_row`), with f the row's entry in the pivot column.  Every row
+stays a positive multiple of the row the `Fraction` elimination holds, so
+signs and ratios within a row are all that is read.  The Gauss-Jordan
+elimination `_rref` behind every solve, rank and kernel, the simplex tableau
+of `lp` and the Gram matrix of Wolfe's method in `convex` use these helpers,
+which are not part of the package surface.  The reduced row echelon form is
+unique, so its entry (k, j) is read out as `Fraction(rows[k][j],
+rows[k][pivots[k]])`, and only for the entries a caller reads.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -275,46 +280,71 @@ class LinearSolution:
     unique: bool
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+def integer_row(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """`(scale * values, scale)` for the least positive integer scale, the
+    lcm of the denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[q for _, q in ratios])
+    if scale == 1:
+        return [p for p, _ in ratios], 1
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+def primitive_row(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (an all-zero row stays)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def eliminate_row(row: list[int], f: int, lead: list[int], p: int) -> list[int]:
+    """`(p * row - f * lead) / gcd`: clears the pivot column for a pivot p > 0."""
+    return primitive_row([p * a - f * b for a, b in zip(row, lead)])
+
+
+def clear_column(rows: list[list[int]], r: int, c: int) -> list[int]:
+    """Pivot on `rows[r][c]`, which must be nonzero: negate row r if that
+    makes the pivot positive, clear column c from every other row in place,
+    and return the lead row."""
+    lead = rows[r]
+    p = lead[c]
+    if p < 0:
+        p = -p
+        lead = rows[r] = [-v for v in lead]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            rows[i] = eliminate_row(row, f, lead, p)
+    return lead
+
+
+def integer_dot(a: Iterable[int], b: Iterable[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _rref(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination; returns (integer rows, pivot columns).
 
-    Row k of the result, for k below the number of pivots, is a nonzero
+    Row k of the result, for k below the number of pivots, is a positive
     integer multiple of row k of the reduced row echelon form, so that form's
     entry (k, j) is `rows[k][j] / rows[k][pivots[k]]`.  Rows past the last
     pivot are zero.
     """
-    mat: list[list[int]] = []
-    for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
-        scale = lcm(*[q for _, q in ratios])
-        mat.append([p for p, _ in ratios] if scale == 1 else [p * (scale // q) for p, q in ratios])
-    return _eliminate(mat)
+    return _eliminate([integer_row(row)[0] for row in rows])
 
 
 def _eliminate(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """The elimination of `_rref` on rows that are already integer; it
     rearranges and replaces the rows of `mat` in place."""
     pivots: list[int] = []
-    if not mat:
-        return mat, pivots
-    r = 0
-    ncols = len(mat[0])
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        lead = mat[r]
-        p = lead[c]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                row = [p * a - f * b for a, b in zip(row, lead)]
-                g = gcd(*row)
-                mat[i] = row if g <= 1 else [a // g for a in row]
+        clear_column(mat, r, c)
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        if r + 1 == len(mat):
             break
     return mat, pivots
 
@@ -327,13 +357,9 @@ def _ratio(num: int, den: int) -> Fraction:
 
 
 def _row_rank(rows: Sequence[Vec], dim: int) -> int:
-    listed = [list(r.entries) for r in rows]
-    if not listed:
-        return 0
     if any(r.dim != dim for r in rows):
         raise ValueError("rank: rows must share the stated dimension")
-    _, pivots = _rref(listed)
-    return len(pivots)
+    return len(_rref([r.entries for r in rows])[1])
 
 
 def rank(matrix: Mat) -> int:
@@ -350,8 +376,7 @@ def solve_linear(matrix: Mat, rhs: Vec) -> LinearSolution | None:
     if rhs.dim != matrix.m:
         raise ValueError(f"dimension mismatch: {matrix.m} rows, rhs of dimension {rhs.dim}")
     n = matrix.n
-    aug = [list(row.entries) + [rhs[i]] for i, row in enumerate(matrix.rows)]
-    reduced, pivots = _rref(aug)
+    reduced, pivots = _rref([(*row.entries, b) for row, b in zip(matrix.rows, rhs.entries)])
     if any(p == n for p in pivots):
         return None
     return LinearSolution(_particular_solution(reduced, pivots, n), unique=len(pivots) == n)
@@ -364,12 +389,9 @@ def nullspace(rows: Sequence[Vec], dim: int) -> list[Vec]:
     """
     if dim < 1:
         raise ValueError("nullspace dimension must be at least 1")
-    listed = [list(r.entries) for r in rows]
-    if listed and any(len(r) != dim for r in listed):
+    if any(r.dim != dim for r in rows):
         raise ValueError("nullspace: rows must share the stated dimension")
-    if not listed:
-        return [Vec.unit(dim, j) for j in range(dim)]
-    return _kernel_basis(*_rref(listed), dim)
+    return _kernel_basis(*_rref([r.entries for r in rows]), dim)
 
 
 def solve_affine(rows: Sequence[Vec], rhs: Sequence[Fraction], dim: int) -> tuple[Vec, list[Vec]] | None:
@@ -381,9 +403,7 @@ def solve_affine(rows: Sequence[Vec], rhs: Sequence[Fraction], dim: int) -> tupl
     The rows must have dimension `dim`.  `lp.solve_lp` eliminates its
     equality block with it; it is not part of the package surface.
     """
-    if not rows:
-        return Vec.zeros(dim), [Vec.unit(dim, j) for j in range(dim)]
-    reduced, pivots = _rref([list(row.entries) + [b] for row, b in zip(rows, rhs)])
+    reduced, pivots = _rref([(*row.entries, b) for row, b in zip(rows, rhs)])
     if any(p == dim for p in pivots):
         return None
     return _particular_solution(reduced, pivots, dim), _kernel_basis(reduced, pivots, dim)
@@ -404,8 +424,8 @@ def solve_integer_system(rows: list[list[int]]) -> tuple[list[int], int] | None:
         return None
     den = lcm(*[row[k] for k, row in enumerate(reduced)])
     nums = [row[n] * (den // row[k]) for k, row in enumerate(reduced)]
-    g = gcd(den, *nums)
-    return [a // g for a in nums], den // g
+    den, *nums = primitive_row([den] + nums)
+    return nums, den
 
 
 def _particular_solution(reduced: list[list[int]], pivots: list[int], n: int) -> Vec:

@@ -12,6 +12,7 @@ package (and every exact command) does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
@@ -42,8 +43,9 @@ class SampleConfig:
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample count must be positive")
-        if not self.box_radius > 0:
-            raise ValueError("box radius must be positive")
+        # the sampler draws from [-r, r], whose width 2r must be a finite float
+        if not 0 < 2 * self.box_radius < math.inf:
+            raise ValueError("box radius must be positive, and twice it a finite float")
 
 
 def _float_matrix(points: Sequence[Vec]) -> np.ndarray:

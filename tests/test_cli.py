@@ -240,6 +240,13 @@ def test_estimate_rejects_empty_solution_sets(infeasible_file):
     assert "empty" in err
 
 
+@pytest.mark.parametrize("box", ["inf", "1e308"])
+def test_estimate_rejects_a_box_too_large_to_sample(triangle_file, box):
+    code, report, err = run_cli("estimate", triangle_file, "--samples", "10", "--seed", "1", "--box", box)
+    assert code == 2 and report is None
+    assert "box radius" in err and "internal error" not in err
+
+
 def test_estimate_notes_when_no_sample_violates(tmp_path):
     path = tmp_path / "roomy.json"
     save_system(InequalitySystem.of([[1, 0]], [100]), path)

@@ -1,5 +1,6 @@
 """Exact scalar, vector, matrix, and linear-algebra layer."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from hoffman import (
     to_rational,
     worst_case_system,
 )
-from hoffman.rational import solve_affine
+from hoffman.rational import integer_row, solve_affine
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -362,6 +363,31 @@ def test_solve_affine_equals_solve_linear_and_nullspace(rows, consistent, data):
         point, kernel = reduced
         assert point == solution.point
         assert kernel == nullspace(list(m.rows), m.n)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@given(st.lists(
+    st.one_of(st.just(Fraction(0)), st.integers(-20, 20).map(Fraction),
+              st.fractions(min_value=-20, max_value=20, max_denominator=30)),
+    min_size=1, max_size=8,
+))
+@example([Fraction(0)])
+@example([Fraction(3), Fraction(0), Fraction(-7)])
+@example([Fraction(1, 6), Fraction(0), Fraction(-3, 4)])
+def test_integer_row_scales_by_the_least_common_denominator(values):
+    ints, scale = integer_row(values)
+    assert all(type(i) is int for i in ints)
+    assert [Fraction(i) for i in ints] == [v * scale for v in values]
+    assert scale == math.lcm(*[v.denominator for v in values])
+    # Valid scales are the multiples of the least one, and every prime factor
+    # of `scale` is below 30: no scale / p is valid, so no smaller one is.
+    for p in _SMALL_PRIMES:
+        if scale % p == 0:
+            assert any((v * (scale // p)).denominator != 1 for v in values)
+    if all(v.denominator == 1 for v in values):
+        assert scale == 1 and ints == [int(v) for v in values]
 
 
 def test_affine_hull_dim_examples():

@@ -30,6 +30,10 @@ def test_sample_config_validation():
         SampleConfig(sample_count=100, box_radius=0.0)
     with pytest.raises(ValueError):
         SampleConfig(sample_count=100, box_radius=-1.0)
+    # twice the radius overflows a float, so no box can be sampled
+    for radius in (math.inf, 1e308):
+        with pytest.raises(ValueError):
+            SampleConfig(sample_count=100, box_radius=radius)
 
 
 def test_sample_minmax_is_deterministic_per_seed():
