@@ -280,7 +280,11 @@ def _solve_ineq_lp(
 def _combination(coords: list[Fraction], kernel: Sequence[list[int]]) -> tuple[list[int], int]:
     """`sum_j coords[j] * kernel[j]` as integer numerators over one denominator."""
     nums, den = integer_row(coords)
-    return [integer_dot(nums, column) for column in zip(*kernel)], den
+    total = [0] * len(kernel[0])
+    for q, kv in zip(nums, kernel):
+        if q:
+            total = [t + q * v for t, v in zip(total, kv)]
+    return total, den
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:

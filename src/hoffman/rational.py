@@ -6,20 +6,19 @@ reliable even on boundary cases.  Vectors and matrices are immutable; every
 operation returns a fresh value, which makes all of this safe to use from
 concurrent callers.
 
-Every exact elimination in the package runs on one integer row format, in
-the fraction-free manner of Edmonds (1967) and Bareiss (1968), with a gcd
-division where Bareiss divides by the previous pivot.  `integer_row` scales
-a row to integers by the lcm of its denominators, `primitive_row` divides
-it by the gcd of its entries, and `clear_column` pivots: it makes the pivot
-p positive and replaces every other row by `(p * row - f * lead) / gcd`
-(`eliminate_row`), with f the row's entry in the pivot column.  Every row
-stays a positive multiple of the row the `Fraction` elimination holds, so
-signs and ratios within a row are all that is read.  The Gauss-Jordan
-elimination `_rref` behind every solve, rank and kernel, the simplex tableau
-of `lp` and the Gram matrix of Wolfe's method in `convex` use these helpers,
-which are not part of the package surface.  The reduced row echelon form is
-unique, so its entry (k, j) is read out as `Fraction(rows[k][j],
-rows[k][pivots[k]])`, and only for the entries a caller reads.
+Every exact elimination in the package runs on one integer row format, after
+Edmonds (1967) and Bareiss (1968), with a gcd division where Bareiss divides
+by the previous pivot.  `integer_row` scales a row to integers by the lcm of
+its denominators, and `primitive_row` divides it by the gcd of its entries.
+`clear_column` makes a pivot p positive and replaces every other row by
+`(p * row - f * lead) / gcd` (`eliminate_row`), with f the row's entry in
+the pivot column.  Every row stays a positive multiple of the row the
+`Fraction` elimination holds, so signs and ratios within a row are all that
+is read.  `_rref` (every solve, rank and kernel), the simplex tableau of
+`lp` and Wolfe's Gram matrix in `convex` use these helpers; they are not
+part of the package surface.  The reduced row echelon form is unique, so
+its entry (k, j) is read out as `Fraction(rows[k][j], rows[k][pivots[k]])`,
+and only for the entries a caller reads.
 """
 
 from __future__ import annotations
