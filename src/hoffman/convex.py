@@ -15,9 +15,10 @@ rationals; floats only appear as display annotations.
 Each sign question has one exact solver, and none rounds.  Whether the
 origin lies outside the hull is read from Wolfe's nearest-point method, run
 exactly on one integer Gram matrix per call: the nearest point is exact, it
-is checked by substitution against every point of the set, and a positive
-distance is both the negative sign and its magnitude.  When the nearest
-point is the origin, one margin program, max t subject to
+is checked by substitution against every point of the set, scaled to
+integers by one positive factor (which is exact and equivalent), and a
+positive distance is both the negative sign and its magnitude.  When the
+nearest point is the origin, one margin program, max t subject to
 {sum(l_i d_i) = 0, sum(l_i) = 1, l_i >= t}, tells zero from positive: the
 origin is interior exactly when the margin is positive and the hull is
 full-dimensional.
@@ -88,16 +89,6 @@ def _validated(points: Sequence[Vec]) -> list[Vec]:
     return pts
 
 
-def _dedupe(points: Sequence[Vec]) -> list[Vec]:
-    seen: set[tuple[Fraction, ...]] = set()
-    unique: list[Vec] = []
-    for p in points:
-        if p.entries not in seen:
-            seen.add(p.entries)
-            unique.append(p)
-    return unique
-
-
 def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction | None:
     """max t such that the origin is an affine combination of pts with every
     multiplier at least t (so t <= 1/k), or None off aff(pts).  t < 0 outside
@@ -105,14 +96,14 @@ def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction | None:
     k = len(pts)
     n = pts[0].dim
     width = k + 1  # multipliers plus the margin variable
-    eqs = [(Vec.of([p[coord] for p in pts] + [_ZERO]), _ZERO) for coord in range(n)]
-    eqs.append((Vec.of([_ONE] * k + [_ZERO]), _ONE))
+    eqs = [(Vec.wrap(tuple(p[coord] for p in pts) + (_ZERO,)), _ZERO) for coord in range(n)]
+    eqs.append((Vec.wrap((_ONE,) * k + (_ZERO,)), _ONE))
     ineqs = []
     for i in range(k):
         row = [_ZERO] * width
         row[i] = -_ONE
         row[k] = _ONE
-        ineqs.append((Vec.of(row), _ZERO))  # t <= l_i
+        ineqs.append((Vec.wrap(tuple(row)), _ZERO))  # t <= l_i
     outcome = solve_lp(
         LinearProgram(
             objective=Vec.unit(width, k),
@@ -139,41 +130,35 @@ def minmax_sign(points: Sequence[Vec]) -> Trichotomy:
     return Trichotomy.ZERO
 
 
-def _combine(weights: Sequence[Fraction], corral: Sequence[Vec]) -> Vec:
-    point = corral[0].scale(weights[0])
-    for w, p in zip(weights[1:], corral[1:]):
-        if w:
-            point = point + p.scale(w)
-    return point
-
-
 def _checked_nearest(
-    pts: Sequence[Vec], corral: Sequence[Vec], weights: Sequence[Fraction]
-) -> tuple[Vec, Fraction]:
-    """The point sum(w_i c_i) and its squared norm, checked by substitution
-    to be the nearest point of conv(pts): the weights are convex, and no
-    point of the set lies strictly on the origin's side of the hyperplane
-    through it normal to it."""
-    if any(w < 0 for w in weights) or sum(weights, _ZERO) != 1:
+    vecs: Sequence[Sequence[int]], corral: Sequence[Sequence[int]], lam: Sequence[int], den: int
+) -> tuple[list[int], int]:
+    """The integer point X = sum(lam_j c_j) and X . X, checked by substitution
+    to be den times the nearest point of conv(vecs): the weights lam / den
+    are positive and sum to one, and no point of the set lies strictly on the
+    origin's side of the hyperplane through X / den normal to it."""
+    if any(l <= 0 for l in lam) or sum(lam) != den:
         raise RuntimeError("nearest-point weights are not convex")
-    point = _combine(weights, corral)
-    dist_sq = point.norm_sq()
-    if any(p.dot(point) < dist_sq for p in pts):
+    point = [integer_dot(lam, column) for column in zip(*corral)]
+    norm = integer_dot(point, point)
+    if any(integer_dot(v, point) * den < norm for v in vecs):
         raise RuntimeError("nearest-point result failed its optimality check")
-    return point, dist_sq
+    return point, norm
 
 
-def _integer_gram(pts: Sequence[Vec]) -> list[list[int]]:
-    """Gram matrix of the points scaled to integer vectors by the lcm of all
-    their denominators: every inner product times one positive factor."""
+def _integer_points(pts: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int, list[list[int]]]:
+    """The distinct points, in first-seen order, scaled to integer vectors by
+    the lcm of all their denominators; that scale; and their Gram matrix,
+    every inner product times the scale squared.  Under one common scale two
+    points are equal exactly when their integer vectors are."""
     n = pts[0].dim
-    flat, _ = integer_row([x for p in pts for x in p.entries])
-    vecs = [flat[i:i + n] for i in range(0, len(flat), n)]
+    flat, scale = integer_row([x for p in pts for x in p.entries])
+    vecs = list(dict.fromkeys(tuple(flat[i:i + n]) for i in range(0, len(flat), n)))
     gram = [[0] * len(vecs) for _ in vecs]
     for i, u in enumerate(vecs):
         for j in range(i + 1):
             gram[i][j] = gram[j][i] = integer_dot(u, vecs[j])
-    return gram
+    return vecs, scale, gram
 
 
 def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
@@ -188,19 +173,21 @@ def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
     hull, back to the hull's boundary, dropping the points whose weight
     becomes exactly zero.  The norm falls strictly at each major step, so no
     corral repeats and the method is finite.  The nearest point is unique, so
-    the result does not depend on the path; it is checked by substitution
-    before it is returned, and a failed check raises RuntimeError.
+    the result does not depend on the path.
 
-    Every step runs on one integer Gram matrix G of the points scaled to
-    integers, which scales the hull, its nearest point and every comparison
-    by one positive factor and leaves the weights as they are.  The weights
-    are integer numerators over one common denominator, so x is
+    Everything before the return runs in integers.  The distinct points are
+    scaled to integer vectors p_i by the lcm of all their denominators, which
+    scales the hull, its nearest point and every comparison by one positive
+    factor and leaves the weights as they are.  Every step runs on their Gram
+    matrix, with integer weights lam_j over one common denominator, so x is
     sum(lam_j p_j) / den, <x, p_i> is values[i] / den and <x, x> is
-    norm / den**2 in those units.
+    norm / den**2 in those units.  X = sum(lam_j p_j) is checked by
+    substitution against every p_i (exact, and equivalent to checking x
+    against the points), and a failed check raises RuntimeError.  Only then
+    are x and its squared norm built as `Fraction`s.
     """
-    pts = _dedupe(_validated(points))
-    gram = _integer_gram(pts)
-    first = min(range(len(pts)), key=lambda i: gram[i][i])
+    vecs, scale, gram = _integer_points(_validated(points))
+    first = min(range(len(vecs)), key=lambda i: gram[i][i])
     corral, lam, den = [first], [1], 1
     previous: tuple[int, int] | None = None
     while True:
@@ -209,7 +196,7 @@ def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
         if previous is not None and norm * previous[1] ** 2 >= previous[0] * den * den:
             raise RuntimeError("nearest-point method made no progress")
         previous = norm, den
-        best = min(range(len(pts)), key=values.__getitem__)
+        best = min(range(len(vecs)), key=values.__getitem__)
         if values[best] * den >= norm:
             break
         corral.append(best)
@@ -233,8 +220,9 @@ def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
             kept = [i for i, l in enumerate(lam) if l]
             corral = [corral[i] for i in kept]
             den, *lam = primitive_row([b * den * tden] + [lam[i] for i in kept])
-    weights = [Fraction(l, den) for l in lam]
-    return _checked_nearest(pts, [pts[c] for c in corral], weights)
+    point, norm = _checked_nearest(vecs, [vecs[c] for c in corral], lam, den)
+    unit = den * scale
+    return Vec.wrap(tuple(Fraction(x, unit) for x in point)), Fraction(norm, unit * unit)
 
 
 def _supporting_halfspace(subset: Sequence[Vec], pts: Sequence[Vec], dim: int) -> tuple[Vec, Fraction] | None:
@@ -259,7 +247,8 @@ def _supporting_halfspace(subset: Sequence[Vec], pts: Sequence[Vec], dim: int) -
     return normal, offset
 
 
-def _inradius_unchecked(pts: Sequence[Vec]) -> Fraction:
+def _inradius_unchecked(points: Sequence[Vec]) -> Fraction:
+    pts = list(dict.fromkeys(points))
     dim = pts[0].dim
     best: Fraction | None = None
     for subset in combinations(pts, dim):
@@ -285,7 +274,7 @@ def inradius_at_origin_sq(points: Sequence[Vec]) -> Fraction:
     pts = _validated(points)
     if minmax_sign(pts) is not Trichotomy.POSITIVE:
         raise ValueError("inradius requires the origin strictly inside the hull")
-    return _inradius_unchecked(_dedupe(pts))
+    return _inradius_unchecked(pts)
 
 
 def minmax_value_sq(points: Sequence[Vec]) -> MinMaxValue:
@@ -301,4 +290,4 @@ def minmax_value_sq(points: Sequence[Vec]) -> MinMaxValue:
         raise RuntimeError("the nearest point is the origin, but the margin program puts it outside the hull")
     if sign is Trichotomy.ZERO:
         return MinMaxValue(sign, _ZERO)
-    return MinMaxValue(sign, _inradius_unchecked(_dedupe(pts)))
+    return MinMaxValue(sign, _inradius_unchecked(pts))

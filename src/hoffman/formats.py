@@ -111,6 +111,8 @@ def _read_json(path: str | Path) -> tuple[Any, bytes]:
         raise SystemFileError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SystemFileError(f"{path}: JSON nested too deeply to decode") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit, or bytes that are not text
+        raise SystemFileError(f"{path}: cannot decode JSON: {exc}") from exc
 
 
 def load_system(path: str | Path) -> tuple[InequalitySystem, str]:

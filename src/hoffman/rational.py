@@ -59,6 +59,9 @@ _MINUS_SIGN = "−"
 # which the interpreter's limit on int digits does not catch.
 _LITERAL = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 
+# A rejected literal is quoted in its error up to this many characters.
+_QUOTED_CHARS = 40
+
 
 def to_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or string literal to an exact rational."""
@@ -78,12 +81,13 @@ def parse_rational(text: str) -> Fraction:
     involved at any stage.
     """
     cleaned = text.strip().replace(_MINUS_SIGN, "-")
-    if not _LITERAL.fullmatch(cleaned):
-        raise ValueError(f"not a rational literal: {text!r}")
-    try:
-        return Fraction(cleaned)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    if _LITERAL.fullmatch(cleaned):
+        try:
+            return Fraction(cleaned)
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or more digits than the interpreter converts
+    shown = repr(text) if len(text) <= _QUOTED_CHARS else f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+    raise ValueError(f"not a rational literal: {shown}")
 
 
 # `str` refuses an int past the interpreter's limit on digits (4300 by

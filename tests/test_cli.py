@@ -294,6 +294,20 @@ def test_json_floats_are_an_input_error(tmp_path):
     assert "exact scalars as strings" in err
 
 
+def test_oversized_literals_are_a_short_input_error(tmp_path):
+    integer = tmp_path / "integer.json"
+    integer.write_text('{"A": [[' + "1" * 5000 + ']], "b": ["0"]}')
+    code, report, err = run_cli("check-eb", str(integer))
+    assert (code, report) == (2, None)
+    assert "cannot decode JSON" in err
+    string = tmp_path / "string.json"
+    string.write_text(json.dumps({"A": [["1" * 5000]], "b": ["0"]}))
+    code, report, err = run_cli("check-eb", str(string))
+    assert (code, report) == (2, None)
+    assert "not a rational literal" in err
+    assert len(err) < 200
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, infeasible_file):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
@@ -363,8 +377,13 @@ def test_exponent_and_underscore_literals_are_an_input_error(tmp_path, literal):
 
 
 def test_failed_nearest_point_check_is_an_internal_error(monkeypatch, triangle_file):
-    combine = hoffman.convex._combine
-    monkeypatch.setattr(hoffman.convex, "_combine", lambda weights, corral: combine(weights, corral).scale(2))
+    # Doubling the corral's integer vectors doubles the point that is checked.
+    check = hoffman.convex._checked_nearest
+    monkeypatch.setattr(
+        hoffman.convex,
+        "_checked_nearest",
+        lambda vecs, corral, lam, den: check(vecs, [[2 * x for x in c] for c in corral], lam, den),
+    )
     code, report, err = run_cli("check-stability", triangle_file)
     assert code == 1
     assert report is None

@@ -331,10 +331,14 @@ def test_min_norm_point_matches_fraction_wolfe_on_wide_entries(pts):
 
 
 def test_nearest_point_check_rejects_wrong_answers():
-    with pytest.raises(RuntimeError):
-        _checked_nearest(SEGMENT, SEGMENT[:1], [Fraction(1)])  # a vertex, not the nearest point
-    with pytest.raises(RuntimeError):
-        _checked_nearest(SEGMENT, SEGMENT, [Fraction(3, 2), Fraction(-1, 2)])  # outside the hull
+    segment = [[1, 0], [0, 1]]  # SEGMENT, already integer
+    assert _checked_nearest(segment, segment, [1, 1], 2) == ([1, 1], 2)
+    with pytest.raises(RuntimeError, match="optimality check"):
+        _checked_nearest(segment, segment[:1], [1], 1)  # a vertex, not the nearest point
+    with pytest.raises(RuntimeError, match="not convex"):
+        _checked_nearest(segment, segment, [3, -1], 2)  # outside the hull
+    with pytest.raises(RuntimeError, match="not convex"):
+        _checked_nearest(segment, segment, [1, 1], 3)  # weights that do not sum to den
 
 
 @given(point_sets())

@@ -103,6 +103,23 @@ def test_load_system_rejects_invalid_json(tmp_path):
         load_system(path)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"A": [[' + b"1" * 5000 + b']], "b": ["0"]}',  # past the interpreter's 4300-digit limit
+        b'{"A": [["1"]], "b": ["\xff"]}',  # not UTF-8
+    ],
+    ids=["long-integer", "not-utf8"],
+)
+def test_undecodable_json_is_a_system_file_error(tmp_path, raw):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(raw)
+    with pytest.raises(SystemFileError, match="cannot decode JSON"):
+        load_system(path)
+    with pytest.raises(SystemFileError, match="cannot decode JSON"):
+        load_certificate(path)
+
+
 # -- certificates -----------------------------------------------------------------
 
 

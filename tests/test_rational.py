@@ -69,6 +69,17 @@ def test_parse_rejects_garbage(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "bad", ["x" * 5000, "1" * 5000, "1/" + "0" * 5000], ids=["letters", "digits", "zero-denominator"]
+)
+def test_rejected_literal_is_quoted_by_a_bounded_prefix(bad):
+    with pytest.raises(ValueError, match="not a rational literal") as info:
+        parse_rational(bad)
+    message = str(info.value)
+    assert len(message) < 100
+    assert "(5000 characters)" in message or "(5002 characters)" in message
+
+
 def test_format_uses_fraction_form():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-2, 7)) == "-2/7"
