@@ -77,7 +77,7 @@ def test_rejected_literal_is_quoted_by_a_bounded_prefix(bad):
         parse_rational(bad)
     message = str(info.value)
     assert len(message) < 100
-    assert "(5000 characters)" in message or "(5002 characters)" in message
+    assert f"({len(bad)} characters)" in message
 
 
 def test_format_uses_fraction_form():
