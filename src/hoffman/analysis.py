@@ -189,22 +189,33 @@ def check_stability(
 ) -> StabilityVerdict:
     """Decide whether the error bound survives every small anchored tilt.
 
-    Every member of the zero-level family is inspected (no maximal-set
-    shortcut: the zero sign is not monotone under inclusion).  The reported
-    squared lower bound is the minimum squared magnitude over the family and
-    bounds the squared sharp constant from below for feasible systems; it is
-    None when the family is empty.
+    The system is stable exactly when no member of the zero-level family has
+    worst-direction value v = 0.  Adding rows can only raise the max, so
+    every subset of a negative member is negative with |v| no smaller.
+    Members are taken largest first, and each one that is not a subset of a
+    negative member found before gets its sign and magnitude; Wolfe's
+    distance settles it when positive, and only a hull holding the origin
+    asks for more.  No zero or positive member is ever skipped, and every
+    maximal negative member is computed, so the first zero member in family
+    order and the minimum squared magnitude come out as from a scan of every
+    member.  That minimum bounds the squared sharp constant from below for
+    feasible systems; it is None when the family is empty.
     """
     family = enumerate_active_sets(system, Level.ZERO, max_workers=max_workers)
-    violating: IndexSet | None = None
-    bound: Fraction | None = None
-    for indices in family.sets:
+    negative: list[frozenset[int]] = []
+    zero: set[IndexSet] = set()
+    bounds: list[Fraction] = []
+    for indices in sorted(family.sets, key=len, reverse=True):
+        if any(member.issuperset(indices) for member in negative):
+            continue
         value = minmax_value_sq(system.rows_for(indices))
-        if value.sign is Trichotomy.ZERO and violating is None:
-            violating = indices
-        if bound is None or value.value_sq < bound:
-            bound = value.value_sq
-    return StabilityVerdict(stable=violating is None, violating_set=violating, lower_bound_sq=bound)
+        if value.sign is Trichotomy.NEGATIVE:
+            negative.append(frozenset(indices))
+        elif value.sign is Trichotomy.ZERO:
+            zero.add(indices)
+        bounds.append(value.value_sq)
+    violating = next((indices for indices in family.sets if indices in zero), None)
+    return StabilityVerdict(stable=violating is None, violating_set=violating, lower_bound_sq=min(bounds, default=None))
 
 
 def hoffman_constant_sq(

@@ -16,7 +16,7 @@ from typing import Any
 
 from .activesets import IndexSet, InequalitySystem, make_index_set
 from .analysis import Certificate
-from .rational import Vec, format_rational, parse_rational
+from .rational import Vec, format_rational, to_rational
 
 __all__ = [
     "SystemFileError",
@@ -42,20 +42,16 @@ class SystemFileError(ValueError):
 
 
 def parse_scalar_value(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise SystemFileError(f"not an exact scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise SystemFileError(str(exc)) from exc
     if isinstance(value, float):
         raise SystemFileError(
             f"refusing JSON float {value!r}: write exact scalars as strings, e.g. \"0.25\""
         )
-    raise SystemFileError(f"not an exact scalar: {value!r}")
+    if isinstance(value, bool):
+        raise SystemFileError(f"not an exact scalar: {value!r}")
+    try:
+        return to_rational(value)
+    except (TypeError, ValueError) as exc:  # the message quotes at most a prefix of the value
+        raise SystemFileError(str(exc)) from exc
 
 
 def parse_vec_data(data: Any, expected_dim: int | None = None) -> Vec:
@@ -111,8 +107,10 @@ def _read_json(path: str | Path) -> tuple[Any, bytes]:
         raise SystemFileError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SystemFileError(f"{path}: JSON nested too deeply to decode") from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit, or bytes that are not text
+    except UnicodeDecodeError as exc:
         raise SystemFileError(f"{path}: cannot decode JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses more digits than the interpreter's limit, which stays as it is
+        raise SystemFileError(f"{path}: cannot decode JSON: an integer has more digits than this package reads") from exc
 
 
 def load_system(path: str | Path) -> tuple[InequalitySystem, str]:

@@ -71,7 +71,9 @@ def to_rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    text = repr(value)
+    shown = text if len(text) <= _QUOTED_CHARS else f"{text[:_QUOTED_CHARS]}... ({len(text)} characters)"
+    raise TypeError(f"cannot interpret {shown} as an exact rational")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -9,13 +9,18 @@ from typing import Sequence
 from hoffman import (
     IndexSet,
     InequalitySystem,
+    Level,
     LinearProgram,
     LpOutcome,
     LpStatus,
     Mat,
+    StabilityVerdict,
+    Trichotomy,
     Vec,
+    enumerate_active_sets,
     make_index_set,
     max_residual,
+    minmax_value_sq,
     nullspace,
     residuals,
     solve_linear,
@@ -420,6 +425,25 @@ def maximal_sets_by_pairs(family: Sequence[IndexSet]) -> list[IndexSet]:
             continue  # drop duplicates, keep the first occurrence
         out.append(sets[i])
     return out
+
+
+# -- stability by a scan of every zero-level member -----------------------------------
+
+
+def stability_by_full_scan(system: InequalitySystem) -> StabilityVerdict:
+    """Stability from the sign and magnitude of every member of the zero-level
+    family: the loop `analysis.check_stability` ran before it computed only
+    the extremal members, kept as its reference."""
+    family = enumerate_active_sets(system, Level.ZERO)
+    violating: IndexSet | None = None
+    bound: Fraction | None = None
+    for indices in family.sets:
+        value = minmax_value_sq(system.rows_for(indices))
+        if value.sign is Trichotomy.ZERO and violating is None:
+            violating = indices
+        if bound is None or value.value_sq < bound:
+            bound = value.value_sq
+    return StabilityVerdict(stable=violating is None, violating_set=violating, lower_bound_sq=bound)
 
 
 # -- distance to the solution set by row subsets ------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,7 @@ from hoffman import (
     verify_certificate,
     worst_case_system,
 )
-from oracles import distance_sq_to_polyhedron, perturbation_ratio_sq
+from oracles import distance_sq_to_polyhedron, perturbation_ratio_sq, stability_by_full_scan
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -147,6 +148,70 @@ def test_stability_of_system_without_boundary_points():
     assert verdict.stable
     assert verdict.violating_set is None
     assert verdict.lower_bound_sq is None
+
+
+# The strip {x1 = 0, x2 <= 0}: its zero-level members {1, 2} and {1, 2, 3}
+# both hold the origin on the boundary of their hull.
+STRIP = InequalitySystem.of([[1, 0], [-1, 0], [0, 1]], [0, 0, 0])
+# A triangle around the origin, through it: its one member is positive.
+TRIANGLE_AT_ORIGIN = InequalitySystem.of([[1, 1], [-2, 1], [1, -2]], [0, 0, 0])
+
+
+def assert_matches_full_scan(system):
+    verdict = check_stability(system)
+    assert verdict == stability_by_full_scan(system)  # stable, violating_set and lower_bound_sq
+    return verdict
+
+
+def test_strip_is_unstable_at_its_first_zero_member():
+    verdict = assert_matches_full_scan(STRIP)
+    assert not verdict.stable
+    assert verdict.violating_set == (1, 2)
+    assert verdict.lower_bound_sq == 0
+
+
+def test_triangle_through_the_origin_is_stable_with_its_inradius_as_bound():
+    verdict = assert_matches_full_scan(TRIANGLE_AT_ORIGIN)
+    assert verdict.stable
+    assert verdict.lower_bound_sq == Fraction(1, 2)
+
+
+def test_extremal_members_match_the_full_scan_on_the_corpus():
+    for system in system_corpus():
+        assert_matches_full_scan(system)
+
+
+def test_extremal_members_match_the_full_scan_on_every_subset_of_identity():
+    identity = worst_case_system(6)
+    for size in range(1, 7):
+        for rows in combinations(identity.A.rows, size):
+            assert_matches_full_scan(InequalitySystem.of(list(rows), [0] * size))
+
+
+@st.composite
+def homogeneous_systems(draw):
+    # b = 0 puts every system's origin on the boundary; small integer rows
+    # draw repeated, negated and zero rows often.
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=6))
+    pool = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "repeat", "negate", "zero"])) if rows else "fresh"
+        if kind == "fresh":
+            rows.append(draw(pool))
+        elif kind == "zero":
+            rows.append([0] * n)
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.append(row if kind == "repeat" else [-x for x in row])
+    return InequalitySystem.of(rows, [0] * m)
+
+
+@given(homogeneous_systems())
+@settings(max_examples=150, deadline=None)
+def test_extremal_members_match_the_full_scan_on_homogeneous_systems(system):
+    assert_matches_full_scan(system)
 
 
 def test_stable_lower_bound_caps_the_sharp_constant_from_below():

@@ -306,6 +306,12 @@ def test_oversized_literals_are_a_short_input_error(tmp_path):
     assert (code, report) == (2, None)
     assert "not a rational literal" in err
     assert len(err) < 200
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({"A": [[[1] * 3000]], "b": ["0"]}))
+    code, report, err = run_cli("check-eb", str(nested))
+    assert (code, report) == (2, None)
+    assert "cannot interpret [1, 1, 1" in err
+    assert len(err) < 300
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, infeasible_file):

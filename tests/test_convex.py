@@ -127,6 +127,25 @@ def test_value_of_a_set_off_the_origin_solves_no_lp(monkeypatch):
     assert programs == []
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_stability_of_identity_runs_wolfe_once_and_asks_no_sign(monkeypatch, m):
+    # Every member is a subset of the full set, whose hull stays off the
+    # origin: one value decides them all, and the margin program never runs.
+    calls = {"min_norm_point_sq": 0, "minmax_value_sq": 0, "minmax_sign": 0}
+
+    def counting(fn):
+        def counted(points):
+            calls[fn.__name__] += 1
+            return fn(points)
+
+        return counted
+
+    for fn in (min_norm_point_sq, minmax_value_sq, minmax_sign):
+        route_through(monkeypatch, fn, counting(fn))
+    assert check_stability(worst_case_system(m)).stable
+    assert calls == {"min_norm_point_sq": 1, "minmax_value_sq": 1, "minmax_sign": 0}
+
+
 def test_stability_of_identity_solves_one_lp_per_zero_level_set(monkeypatch):
     # 15 realizability programs for the 2^4 - 1 subsets, and no sign program:
     # every hull of unit vectors stays off the origin.

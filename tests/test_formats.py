@@ -55,6 +55,28 @@ def test_scalars_reject_bools_and_garbage():
         parse_scalar_value("abc")
 
 
+def test_a_long_non_scalar_is_quoted_in_part_with_its_length():
+    with pytest.raises(SystemFileError) as short:
+        parse_scalar_value([1, 2])
+    assert str(short.value) == "cannot interpret [1, 2] as an exact rational"
+    with pytest.raises(SystemFileError) as long:
+        parse_scalar_value([1] * 3000)
+    message = str(long.value)
+    assert len(message) < 120
+    assert message.startswith("cannot interpret [1, 1, 1")
+    assert message.endswith(f"... ({len(repr([1] * 3000))} characters) as an exact rational")
+
+
+def test_an_integer_past_the_digit_limit_gives_no_advice_the_user_cannot_follow(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_bytes(b'{"A": [[' + b"1" * 5000 + b']], "b": ["0"]}')
+    with pytest.raises(SystemFileError) as error:
+        load_system(path)
+    message = str(error.value)
+    assert "more digits than this package reads" in message
+    assert "set_int_max_str_digits" not in message
+
+
 # -- systems ----------------------------------------------------------------------
 
 
