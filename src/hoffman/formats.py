@@ -42,15 +42,15 @@ class SystemFileError(ValueError):
 
 
 def parse_scalar_value(value: Any) -> Fraction:
+    if isinstance(value, bool):
+        raise SystemFileError(f"not an exact scalar: {value!r}")
     if isinstance(value, float):
         raise SystemFileError(
             f"refusing JSON float {value!r}: write exact scalars as strings, e.g. \"0.25\""
         )
-    if isinstance(value, bool):
-        raise SystemFileError(f"not an exact scalar: {value!r}")
     try:
         return to_rational(value)
-    except (TypeError, ValueError) as exc:  # the message quotes at most a prefix of the value
+    except (TypeError, ValueError) as exc:  # either message quotes at most a prefix of the value
         raise SystemFileError(str(exc)) from exc
 
 
