@@ -227,8 +227,9 @@ def enumerate_active_sets(
     equal-residual system is inconsistent are recorded as dead cores and all
     of their supersets are skipped without further work; with `prune`
     disabled every nonempty subset runs the full margin program, which serves
-    as the brute-force oracle in tests.  Worker threads only bound concurrent
-    margin programs; results do not depend on the worker count.
+    as the brute-force oracle in tests.  Only the `enumerate` command, with
+    HOFFMAN_THREADS set, passes `max_workers` to run margin programs on
+    threads; results do not depend on the worker count.
     """
     m = system.m
     found: list[IndexSet] = []

@@ -145,12 +145,7 @@ def convex_hull_multipliers(rows: Sequence[Vec]) -> Vec | None:
     return outcome.witness if outcome.status is LpStatus.OPTIMAL else None
 
 
-def check_error_bound(
-    system: InequalitySystem,
-    *,
-    maximal_only: bool = True,
-    max_workers: int | None = None,
-) -> ErrorBoundVerdict:
+def check_error_bound(system: InequalitySystem, *, maximal_only: bool = True) -> ErrorBoundVerdict:
     """Decide whether the system admits a finite error-bound constant.
 
     Enumerates the positive-level active-set family and tests the sign of the
@@ -159,7 +154,7 @@ def check_error_bound(
     constant (the value grows with the set, so the hull distance shrinks);
     `maximal_only=False` forces the full scan for oracle testing.
     """
-    family = enumerate_active_sets(system, Level.POSITIVE, max_workers=max_workers)
+    family = enumerate_active_sets(system, Level.POSITIVE)
     candidates = maximal_sets(family) if maximal_only else list(family.sets)
     checked = 0
     sharpest: Fraction | None = None
@@ -182,11 +177,7 @@ def check_error_bound(
     return ErrorBoundVerdict(True, None, sharpest, checked)
 
 
-def check_stability(
-    system: InequalitySystem,
-    *,
-    max_workers: int | None = None,
-) -> StabilityVerdict:
+def check_stability(system: InequalitySystem) -> StabilityVerdict:
     """Decide whether the error bound survives every small anchored tilt.
 
     The system is stable exactly when no member of the zero-level family has
@@ -201,7 +192,7 @@ def check_stability(
     member.  That minimum bounds the squared sharp constant from below for
     feasible systems; it is None when the family is empty.
     """
-    family = enumerate_active_sets(system, Level.ZERO, max_workers=max_workers)
+    family = enumerate_active_sets(system, Level.ZERO)
     negative: list[frozenset[int]] = []
     zero: set[IndexSet] = set()
     bounds: list[Fraction] = []
@@ -218,11 +209,7 @@ def check_stability(
     return StabilityVerdict(stable=violating is None, violating_set=violating, lower_bound_sq=min(bounds, default=None))
 
 
-def hoffman_constant_sq(
-    system: InequalitySystem,
-    *,
-    max_workers: int | None = None,
-) -> Fraction | None | NoErrorBound:
+def hoffman_constant_sq(system: InequalitySystem) -> Fraction | None | NoErrorBound:
     """Exact squared sharp constant.
 
     Returns NO_ERROR_BOUND when the system admits none, and None when no
@@ -230,7 +217,7 @@ def hoffman_constant_sq(
     empty set, i.e. unbounded; only systems whose rows are all zero with
     nonnegative offsets land here).
     """
-    verdict = check_error_bound(system, max_workers=max_workers)
+    verdict = check_error_bound(system)
     if not verdict.has_error_bound:
         return NO_ERROR_BOUND
     return verdict.sigma_sq

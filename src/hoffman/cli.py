@@ -3,9 +3,9 @@
 Every command reads exact JSON input, prints one JSON report to stdout, and
 exits with 0 (affirmative verdict or plain success), 3 (negative verdict),
 2 (input error), or 1 (internal error, or stdout closed before the report
-was written, as by `hoffman ... | head`).  The environment variable
-HOFFMAN_THREADS caps the number of worker threads used by the enumeration
-stages; the default is the machine's CPU count.
+was written, as by `hoffman ... | head`).  Only `enumerate` runs worker
+threads, and only when the environment variable HOFFMAN_THREADS sets their
+number; every other command, and `enumerate` without it, runs sequentially.
 
 `main(argv)` can also be called in-process.  It returns the exit code
 instead of exiting; only argparse still raises `SystemExit`, with code 2
@@ -62,9 +62,10 @@ _LEVELS = {"pos": Level.POSITIVE, "zero": Level.ZERO}
 
 
 def _worker_count() -> int | None:
+    """Worker threads for `enumerate`: HOFFMAN_THREADS, or None (sequential) when unset."""
     raw = os.environ.get("HOFFMAN_THREADS")
     if raw is None:
-        return os.cpu_count()
+        return None
     try:
         value = int(raw)
     except ValueError as exc:
@@ -100,7 +101,7 @@ def _sigma_payload(sigma_sq) -> dict[str, Any]:
 
 def _cmd_check_eb(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
     system, digest = load_system(args.file)
-    verdict = check_error_bound(system, max_workers=_worker_count())
+    verdict = check_error_bound(system)
     result: dict[str, Any] = {
         "has_error_bound": verdict.has_error_bound,
         "checked_sets": verdict.checked_sets,
@@ -116,7 +117,7 @@ def _cmd_check_eb(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | 
 
 def _cmd_check_stability(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
     system, digest = load_system(args.file)
-    verdict = check_stability(system, max_workers=_worker_count())
+    verdict = check_stability(system)
     result = {
         "stable": verdict.stable,
         "violating_set": None if verdict.violating_set is None else list(verdict.violating_set),
@@ -131,7 +132,7 @@ def _cmd_check_stability(args: argparse.Namespace) -> tuple[dict[str, Any], int,
 
 def _cmd_hoffman(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
     system, digest = load_system(args.file)
-    sigma_sq = hoffman_constant_sq(system, max_workers=_worker_count())
+    sigma_sq = hoffman_constant_sq(system)
     result = _sigma_payload(sigma_sq)
     code = EXIT_OK if result["has_error_bound"] else EXIT_NEGATIVE
     return result, code, digest
@@ -153,7 +154,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int, str |
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
     system, digest = load_system(args.file)
-    verdict = check_error_bound(system, max_workers=_worker_count())
+    verdict = check_error_bound(system)
     certificate = None if verdict.certificate is None else certificate_to_data(verdict.certificate)
     if verdict.certificate is not None and args.out:
         save_certificate(verdict.certificate, args.out)
@@ -211,12 +212,11 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | Non
     start, stop = int(match.group(1)), int(match.group(2))
     if not 1 <= start <= stop:
         raise ValueError("--m-range bounds must satisfy 1 <= A <= B")
-    workers = _worker_count()
     rows = []
     for m in range(start, stop + 1):
         system = worst_case_system(m)
         began = time.perf_counter()
-        family = enumerate_active_sets(system, _LEVELS[args.level], max_workers=workers)
+        family = enumerate_active_sets(system, _LEVELS[args.level])
         elapsed = (time.perf_counter() - began) * 1000.0
         rows.append({"m": m, "family_size": len(family.sets), "elapsed_ms": round(elapsed, 3)})
     return {"level": args.level, "rows": rows}, EXIT_OK, None

@@ -111,12 +111,17 @@ def _subset_projectors(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return projectors
 
 
-def _distances(a: np.ndarray, b: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _distances(
+    a: np.ndarray,
+    b: np.ndarray,
+    xs: np.ndarray,
+    projectors: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
     """Distance from each sample to {x : a x <= b} by subset projection."""
     import numpy as np
 
     best = np.full(xs.shape[0], np.inf)
-    for combo, projector in _subset_projectors(a):
+    for combo, projector in projectors:
         shortfall = b[combo][None, :] - xs @ a[combo].T
         candidates = xs + shortfall @ projector
         feas = (candidates @ a.T - b <= _FEAS_TOL).all(axis=1)
@@ -139,6 +144,7 @@ def estimate_hoffman(system: InequalitySystem, config: SampleConfig) -> float | 
 
     a = _float_matrix(system.A.rows)
     b = np.array([float(v) for v in system.b], dtype=float)
+    projectors = _subset_projectors(a)
     rng = np.random.default_rng(config.seed)
     best: float | None = None
     remaining = config.sample_count
@@ -151,7 +157,7 @@ def estimate_hoffman(system: InequalitySystem, config: SampleConfig) -> float | 
         if not infeasible.any():
             continue
         xs_bad = xs[infeasible]
-        dist = _distances(a, b, xs_bad)
+        dist = _distances(a, b, xs_bad, projectors)
         usable = np.isfinite(dist) & (dist > 0.0)
         if not usable.any():
             continue

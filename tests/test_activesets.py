@@ -225,9 +225,13 @@ def test_corpus_witnesses_at_both_levels_are_pinned():
 
 
 def test_worker_threads_do_not_change_the_result():
-    sequential = enumerate_active_sets(TRIANGLE, Level.ZERO)
-    threaded = enumerate_active_sets(TRIANGLE, Level.ZERO, max_workers=4)
-    assert threaded.sets == sequential.sets
+    # Family equality ignores the witnesses, so they are compared on their own.
+    for system in [worst_case_system(6), *system_corpus()]:
+        for level in (Level.POSITIVE, Level.ZERO):
+            sequential = enumerate_active_sets(system, level)
+            threaded = enumerate_active_sets(system, level, max_workers=4)
+            assert threaded.sets == sequential.sets
+            assert threaded.witnesses == sequential.witnesses
 
 
 CROSS4 = InequalitySystem.of([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 0, 0])

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -407,16 +408,59 @@ def test_sign_disagreeing_with_the_nearest_point_is_an_internal_error(monkeypatc
 
 
 def test_thread_env_variable(monkeypatch, triangle_file):
-    monkeypatch.setenv("HOFFMAN_THREADS", "2")
-    code, report, _ = run_cli("check-eb", triangle_file)
+    pools = []
+    monkeypatch.setattr(
+        hoffman.activesets,
+        "ThreadPoolExecutor",
+        lambda max_workers: pools.append(max_workers) or ThreadPoolExecutor(max_workers=max_workers),
+    )
+    monkeypatch.delenv("HOFFMAN_THREADS", raising=False)
+    code, sequential, _ = run_cli("enumerate", triangle_file, "--level", "pos")
     assert code == 0
-    assert report["result"]["sigma_sq"]["exact"] == "1/2"
+    assert pools == []
+
+    monkeypatch.setenv("HOFFMAN_THREADS", "2")
+    code, threaded, _ = run_cli("enumerate", triangle_file, "--level", "pos")
+    assert code == 0
+    assert pools and set(pools) == {2}
+    assert threaded["result"] == sequential["result"]
 
     for bad in ("0", "x"):
         monkeypatch.setenv("HOFFMAN_THREADS", bad)
-        code, _, err = run_cli("check-eb", triangle_file)
+        code, _, err = run_cli("enumerate", triangle_file, "--level", "pos")
         assert code == 2
         assert "HOFFMAN_THREADS" in err
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+
+def test_verdict_commands_never_build_a_pool(monkeypatch, tmp_path):
+    path = str(tmp_path / "id5.json")
+    save_system(worst_case_system(5), path)
+    commands = [
+        ("check-eb", path),
+        ("check-stability", path),
+        ("hoffman", path),
+        ("certify", path),
+        ("bench", "--m-range", "1..4"),
+    ]
+
+    def result(argv):
+        # The identity system has an error bound and is stable: every command exits 0.
+        code, report, err = run_cli(*argv)
+        assert code == 0, err
+        for row in report["result"].get("rows", []):
+            del row["elapsed_ms"]
+        return report["result"]
+
+    monkeypatch.delenv("HOFFMAN_THREADS", raising=False)
+    expected = [result(argv) for argv in commands]
+    monkeypatch.setenv("HOFFMAN_THREADS", "4")
+    monkeypatch.setattr(hoffman.activesets, "ThreadPoolExecutor", _NoPool)
+    assert [result(argv) for argv in commands] == expected
 
 
 def _package_env():

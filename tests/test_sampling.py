@@ -15,6 +15,7 @@ from hoffman import (
     max_residual,
     minmax_value_sq,
     sample_minmax,
+    sampling,
 )
 
 CROSS = [Vec.of([1, 0]), Vec.of([-1, 0]), Vec.of([0, 1]), Vec.of([0, -1])]
@@ -123,3 +124,13 @@ def test_estimate_is_none_when_no_sample_violates():
 def test_estimate_is_deterministic_per_seed():
     config = SampleConfig(sample_count=5_000, seed=9)
     assert estimate_hoffman(TRIANGLE, config) == estimate_hoffman(TRIANGLE, config)
+
+
+def test_estimate_builds_the_subset_projectors_once_per_call(monkeypatch):
+    builds = []
+    build = sampling._subset_projectors
+    monkeypatch.setattr(sampling, "_subset_projectors", lambda a: builds.append(a) or build(a))
+    config = SampleConfig(sample_count=2 * sampling._CHUNK + 1, seed=0)  # three chunks
+    value = estimate_hoffman(TRIANGLE, config)
+    assert len(builds) == 1
+    assert value == pytest.approx(0.7071144485574099, abs=0.0)  # frozen
