@@ -19,11 +19,12 @@ monotone and is therefore re-tested per subset.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, groupby
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .lp import LinearProgram, LpStatus, solve_lp
 from .rational import Mat, RationalLike, Vec, solve_linear
@@ -47,9 +48,6 @@ _ONE = Fraction(1)
 
 # Index sets are 1-based, sorted, duplicate-free tuples.
 IndexSet = tuple[int, ...]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 def make_index_set(indices: Iterable[int]) -> IndexSet:
@@ -205,14 +203,6 @@ def _equal_level_consistent(system: InequalitySystem, indices: IndexSet, level: 
     return solve_linear(Mat(rows), rhs) is not None
 
 
-def _map_ordered(fn: Callable[[_T], _R], items: Sequence[_T], max_workers: int | None) -> list[_R]:
-    if max_workers is not None and max_workers > 1 and len(items) > 1:
-        workers = min(max_workers, len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def enumerate_active_sets(
     system: InequalitySystem,
     level: Level,
@@ -228,29 +218,32 @@ def enumerate_active_sets(
     of their supersets are skipped without further work; with `prune`
     disabled every nonempty subset runs the full margin program, which serves
     as the brute-force oracle in tests.  Only the `enumerate` command, with
-    HOFFMAN_THREADS set, passes `max_workers` to run margin programs on
-    threads; results do not depend on the worker count.
+    HOFFMAN_THREADS set, passes `max_workers`; above 1, one pool of that many
+    threads serves every cardinality's margin programs, and results do not
+    depend on the worker count.
     """
     m = system.m
     found: list[IndexSet] = []
     witnesses: dict[IndexSet, Vec] = {}
     dead_cores: list[set[int]] = []
-    for size in range(1, m + 1):
-        frontier: list[IndexSet] = []
-        for combo in combinations(range(1, m + 1), size):
-            if prune:
-                as_set = set(combo)
-                if any(core <= as_set for core in dead_cores):
-                    continue
-                if not _equal_level_consistent(system, combo, level):
-                    dead_cores.append(as_set)
-                    continue
-            frontier.append(combo)
-        results = _map_ordered(lambda c: realizability(system, c, level), frontier, max_workers)
-        for combo, witness in zip(frontier, results):
-            if witness is not None:
-                found.append(combo)
-                witnesses[combo] = witness
+    threaded = max_workers is not None and max_workers > 1
+    with ThreadPoolExecutor(max_workers=max_workers) if threaded else nullcontext() as pool:
+        for size in range(1, m + 1):
+            frontier: list[IndexSet] = []
+            for combo in combinations(range(1, m + 1), size):
+                if prune:
+                    as_set = set(combo)
+                    if any(core <= as_set for core in dead_cores):
+                        continue
+                    if not _equal_level_consistent(system, combo, level):
+                        dead_cores.append(as_set)
+                        continue
+                frontier.append(combo)
+            results = (pool.map if threaded else map)(lambda c: realizability(system, c, level), frontier)
+            for combo, witness in zip(frontier, results):
+                if witness is not None:
+                    found.append(combo)
+                    witnesses[combo] = witness
     return ActiveSetFamily(level=level, sets=tuple(found), witnesses=witnesses)
 
 

@@ -6,6 +6,9 @@ exits with 0 (affirmative verdict or plain success), 3 (negative verdict),
 was written, as by `hoffman ... | head`).  Only `enumerate` runs worker
 threads, and only when the environment variable HOFFMAN_THREADS sets their
 number; every other command, and `enumerate` without it, runs sequentially.
+Every command but `bench` names a system file.  `main` loads it once, inside
+the timed part, before any other file or option is read; the handler gets
+the system, and the report's `input_digest` is that of the file's bytes.
 
 `main(argv)` can also be called in-process.  It returns the exit code
 instead of exiting; only argparse still raises `SystemExit`, with code 2
@@ -26,7 +29,7 @@ import sys
 import time
 from typing import Any
 
-from .activesets import Level, enumerate_active_sets
+from .activesets import InequalitySystem, Level, enumerate_active_sets
 from .analysis import (
     NO_ERROR_BOUND,
     Perturbation,
@@ -38,7 +41,6 @@ from .analysis import (
     worst_case_system,
 )
 from .formats import (
-    SystemFileError,
     certificate_to_data,
     exact_field,
     load_certificate,
@@ -57,8 +59,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
-
-_LEVELS = {"pos": Level.POSITIVE, "zero": Level.ZERO}
 
 
 def _worker_count() -> int | None:
@@ -99,8 +99,7 @@ def _sigma_payload(sigma_sq) -> dict[str, Any]:
     }
 
 
-def _cmd_check_eb(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
+def _cmd_check_eb(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
     verdict = check_error_bound(system)
     result: dict[str, Any] = {
         "has_error_bound": verdict.has_error_bound,
@@ -112,11 +111,10 @@ def _cmd_check_eb(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | 
         else certificate_to_data(verdict.certificate),
     }
     code = EXIT_OK if verdict.has_error_bound else EXIT_NEGATIVE
-    return result, code, digest
+    return result, code
 
 
-def _cmd_check_stability(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
+def _cmd_check_stability(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
     verdict = check_stability(system)
     result = {
         "stable": verdict.stable,
@@ -127,20 +125,18 @@ def _cmd_check_stability(args: argparse.Namespace) -> tuple[dict[str, Any], int,
         "lower_bound_approx": sqrt_approx(verdict.lower_bound_sq),
     }
     code = EXIT_OK if verdict.stable else EXIT_NEGATIVE
-    return result, code, digest
+    return result, code
 
 
-def _cmd_hoffman(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
+def _cmd_hoffman(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
     sigma_sq = hoffman_constant_sq(system)
     result = _sigma_payload(sigma_sq)
     code = EXIT_OK if result["has_error_bound"] else EXIT_NEGATIVE
-    return result, code, digest
+    return result, code
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
-    family = enumerate_active_sets(system, _LEVELS[args.level], max_workers=_worker_count())
+def _cmd_enumerate(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
+    family = enumerate_active_sets(system, Level(args.level), max_workers=_worker_count())
     result = {
         "level": args.level,
         "count": len(family.sets),
@@ -149,11 +145,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict[str, Any], int, str |
             for indices in family.sets
         ],
     }
-    return result, EXIT_OK, digest
+    return result, EXIT_OK
 
 
-def _cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
+def _cmd_certify(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
     verdict = check_error_bound(system)
     certificate = None if verdict.certificate is None else certificate_to_data(verdict.certificate)
     if verdict.certificate is not None and args.out:
@@ -164,18 +159,16 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | N
         "written": args.out if verdict.certificate is not None and args.out else None,
     }
     code = EXIT_OK if verdict.has_error_bound else EXIT_NEGATIVE
-    return result, code, digest
+    return result, code
 
 
-def _cmd_verify_cert(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
+def _cmd_verify_cert(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
     certificate = load_certificate(args.cert)
     valid = verify_certificate(system, certificate)
-    return {"valid": valid}, EXIT_OK if valid else EXIT_NEGATIVE, digest
+    return {"valid": valid}, EXIT_OK if valid else EXIT_NEGATIVE
 
 
-def _cmd_perturb(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
+def _cmd_perturb(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
     perturbation = Perturbation(
         epsilon=parse_rational(args.eps),
         direction=_parse_csv_vector(args.u, "--u"),
@@ -183,11 +176,10 @@ def _cmd_perturb(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | N
     )
     tilted = perturb(system, perturbation)
     save_system(tilted, args.out)
-    return {"written": args.out, "system": system_to_data(tilted)}, EXIT_OK, digest
+    return {"written": args.out, "system": system_to_data(tilted)}, EXIT_OK
 
 
-def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
-    system, digest = load_system(args.file)
+def _cmd_estimate(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
     eqs: list = []
     ineqs = [(row, system.b[i]) for i, row in enumerate(system.A.rows)]
     if not feasible(eqs, ineqs, dim=system.n).is_feasible:
@@ -202,10 +194,10 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | 
     }
     if estimate is None:
         result["note"] = "no sampled point was infeasible; enlarge the box or sample count"
-    return result, EXIT_OK, digest
+    return result, EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | None]:
+def _cmd_bench(args: argparse.Namespace, _: None) -> tuple[dict[str, Any], int]:
     match = re.fullmatch(r"(\d+)\.\.(\d+)", args.m_range)
     if not match:
         raise ValueError(f"--m-range expects the form A..B, got {args.m_range!r}")
@@ -216,10 +208,10 @@ def _cmd_bench(args: argparse.Namespace) -> tuple[dict[str, Any], int, str | Non
     for m in range(start, stop + 1):
         system = worst_case_system(m)
         began = time.perf_counter()
-        family = enumerate_active_sets(system, _LEVELS[args.level])
+        family = enumerate_active_sets(system, Level(args.level))
         elapsed = (time.perf_counter() - began) * 1000.0
         rows.append({"m": m, "family_size": len(family.sets), "elapsed_ms": round(elapsed, 3)})
-    return {"level": args.level, "rows": rows}, EXIT_OK, None
+    return {"level": args.level, "rows": rows}, EXIT_OK
 
 
 @functools.cache
@@ -249,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate realizable active sets")
     p.add_argument("file")
-    p.add_argument("--level", choices=sorted(_LEVELS), required=True)
+    p.add_argument("--level", choices=[level.value for level in Level], required=True)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("certify", help="emit a no-error-bound certificate when one exists")
@@ -279,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the enumeration on the worst-case family")
     p.add_argument("--m-range", required=True, help="row counts, e.g. 1..12")
-    p.add_argument("--level", choices=sorted(_LEVELS), default="pos")
+    p.add_argument("--level", choices=[level.value for level in Level], default="pos")
     p.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -290,8 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     began = time.perf_counter()
     try:
-        result, code, digest = args.handler(args)
-    except (SystemFileError, ValueError, OSError) as exc:
+        system, digest = load_system(args.file) if "file" in args else (None, None)
+        result, code = args.handler(args, system)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -225,40 +225,23 @@ def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
     return Vec.wrap(tuple(Fraction(x, unit) for x in point)), Fraction(norm, unit * unit)
 
 
-def _supporting_halfspace(subset: Sequence[Vec], pts: Sequence[Vec], dim: int) -> tuple[Vec, Fraction] | None:
-    """Hyperplane through `subset` supporting conv(pts) with the origin
-    strictly on the inner side; returns (outward normal, positive offset)."""
-    base = subset[0]
-    diffs = [s - base for s in subset[1:]]
-    kernel = nullspace(diffs, dim)
-    if len(kernel) != 1:
-        return None  # subset does not span a hyperplane
-    normal = kernel[0]
-    offset = normal.dot(base)
-    sides = [normal.dot(p) - offset for p in pts]
-    if all(s <= 0 for s in sides):
-        pass
-    elif all(s >= 0 for s in sides):
-        normal, offset = -normal, -offset
-    else:
-        return None
-    if offset <= 0:
-        return None
-    return normal, offset
-
-
 def _inradius_unchecked(points: Sequence[Vec]) -> Fraction:
+    """Least squared origin distance 1 / (y . y) over the facet planes
+    {x : y . x = 1} of conv(points), for an origin strictly inside: y . p <= 1
+    at every point p, and n distinct points S span the plane exactly when the
+    kernel of the rows (p, -1), p in S, is one vector (y, 1)."""
     pts = list(dict.fromkeys(points))
     dim = pts[0].dim
     best: Fraction | None = None
     for subset in combinations(pts, dim):
-        plane = _supporting_halfspace(subset, pts, dim)
-        if plane is None:
+        kernel = nullspace([Vec.wrap(p.entries + (-_ONE,)) for p in subset], dim + 1)
+        if len(kernel) != 1 or not kernel[0][dim]:
             continue
-        normal, offset = plane
-        candidate = offset * offset / normal.norm_sq()
-        if best is None or candidate < best:
-            best = candidate
+        normal = Vec.wrap(kernel[0].entries[:dim])
+        if all(normal.dot(p) <= 1 for p in pts):
+            candidate = 1 / normal.norm_sq()
+            if best is None or candidate < best:
+                best = candidate
     if best is None:
         raise RuntimeError("an interior origin implies at least one facet")
     return best
@@ -267,9 +250,9 @@ def _inradius_unchecked(points: Sequence[Vec]) -> Fraction:
 def inradius_at_origin_sq(points: Sequence[Vec]) -> Fraction:
     """Squared radius of the largest origin-centered ball inside conv(points).
 
-    Every facet hyperplane of the hull is spanned by an affinely independent
-    subset of n points, so enumerating supporting hyperplanes through such
-    subsets and minimizing the squared origin distance is exact.
+    Every facet plane of the hull misses the origin and is spanned by n of
+    the points, so minimizing the squared origin distance over the facet
+    planes that n-subsets span is exact.
     """
     pts = _validated(points)
     if minmax_sign(pts) is not Trichotomy.POSITIVE:

@@ -277,10 +277,11 @@ def _solve_ineq_lp(
     return LpStatus.UNBOUNDED, [values[j] - values[k + j] for j in range(k)]
 
 
-def _combination(coords: list[Fraction], kernel: Sequence[list[int]]) -> tuple[list[int], int]:
-    """`sum_j coords[j] * kernel[j]` as integer numerators over one denominator."""
+def _combination(coords: list[Fraction], kernel: Sequence[list[int]], n: int) -> tuple[list[int], int]:
+    """`sum_j coords[j] * kernel[j]`, of width n, as integer numerators over
+    one denominator."""
     nums, den = integer_row(coords)
-    total = [0] * len(kernel[0])
+    total = [0] * n
     for q, kv in zip(nums, kernel):
         if q:
             total = [t + q * v for t, v in zip(total, kv)]
@@ -293,13 +294,10 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if reduced is None:
         return LpOutcome(LpStatus.INFEASIBLE)
     origin, kernel = reduced
-    if not kernel:
-        if all(vec.dot(origin) <= bound for vec, bound in lp.ineq_constraints):
-            return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(origin), origin)
-        return LpOutcome(LpStatus.INFEASIBLE)
     # x = origin + sum_j q_j * int_kernel[j], where int_kernel[j] is kernel[j]
-    # times col_scales[j]; the tableau works in the coordinates q.
-    int_kernel, col_scales = zip(*map(integer_row, kernel))
+    # times col_scales[j]; the tableau works in the coordinates q.  With no
+    # kernel every row is vacuous, and the optimum is the origin if it holds.
+    int_kernel, col_scales = zip(*map(integer_row, kernel)) if kernel else ((), ())
     int_origin, origin_den = integer_row(origin)
     rows = []
     for vec, bound in lp.ineq_constraints:
@@ -316,7 +314,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if status is LpStatus.INFEASIBLE:
         return LpOutcome(LpStatus.INFEASIBLE)
     assert coords is not None
-    total, den = _combination(coords, int_kernel)
+    total, den = _combination(coords, int_kernel, len(int_origin))
     if status is LpStatus.UNBOUNDED:
         ray = Vec.wrap(tuple(Fraction(t, den) for t in total))
         return LpOutcome(LpStatus.UNBOUNDED, None, ray)

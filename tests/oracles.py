@@ -83,6 +83,49 @@ def min_norm_point_by_faces(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
     return best
 
 
+def _supporting_halfspace(subset: Sequence[Vec], pts: Sequence[Vec], dim: int) -> tuple[Vec, Fraction] | None:
+    """Hyperplane through `subset` supporting conv(pts) with the origin
+    strictly on the inner side; returns (outward normal, positive offset)."""
+    base = subset[0]
+    diffs = [s - base for s in subset[1:]]
+    kernel = nullspace(diffs, dim)
+    if len(kernel) != 1:
+        return None  # subset does not span a hyperplane
+    normal = kernel[0]
+    offset = normal.dot(base)
+    sides = [normal.dot(p) - offset for p in pts]
+    if all(s <= 0 for s in sides):
+        pass
+    elif all(s >= 0 for s in sides):
+        normal, offset = -normal, -offset
+    else:
+        return None
+    if offset <= 0:
+        return None
+    return normal, offset
+
+
+def inradius_by_supporting_halfspaces(points: Sequence[Vec]) -> Fraction:
+    """Squared radius of the largest origin-centered ball inside conv(points),
+    for an origin strictly inside, by a second facet search: the plane through
+    each n-subset of the distinct points comes from the kernel of its point
+    differences, is oriented so that the hull lies on one side, and counts
+    when the origin lies strictly on that side."""
+    pts = list(dict.fromkeys(points))
+    dim = pts[0].dim
+    best: Fraction | None = None
+    for subset in combinations(pts, dim):
+        plane = _supporting_halfspace(subset, pts, dim)
+        if plane is None:
+            continue
+        normal, offset = plane
+        candidate = offset * offset / normal.norm_sq()
+        if best is None or candidate < best:
+            best = candidate
+    assert best is not None, "an interior origin implies at least one facet"
+    return best
+
+
 # -- Gauss-Jordan over Fraction ---------------------------------------------------
 
 

@@ -16,6 +16,7 @@ import hoffman
 import hoffman.convex
 from hoffman import InequalitySystem, cli, save_system, worst_case_system
 from hoffman.cli import main
+from hoffman.formats import digest_of
 
 TRIANGLE = InequalitySystem.of([[1, 1], [-2, 1], [1, -2]], [1, 2, 3])
 PAIR = InequalitySystem.of([[1, 1], [-1, -1]], [0, 0])
@@ -273,10 +274,44 @@ def test_bench_rejects_malformed_ranges():
         assert report is None
 
 
-def test_missing_file_is_an_input_error(tmp_path):
-    code, report, err = run_cli("check-eb", str(tmp_path / "absent.json"))
+# Every command that reads a system file, with the arguments that follow the
+# file; "{tmp}" stands for a scratch directory.
+FILE_COMMANDS = [
+    ["check-eb"],
+    ["check-stability"],
+    ["hoffman"],
+    ["enumerate", "--level", "pos"],
+    ["certify"],
+    ["verify-cert", "{tmp}/cert.json"],
+    ["perturb", "--eps", "1/10", "--u", "0,1", "--xbar", "0,0", "--out", "{tmp}/tilted.json"],
+    ["estimate", "--samples", "10", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+def test_missing_file_is_an_input_error(tmp_path, argv):
+    # The system file is read first, so its name is the one reported.
+    command, *rest = [arg.format(tmp=tmp_path) for arg in argv]
+    code, report, err = run_cli(command, str(tmp_path / "absent.json"), *rest)
     assert code == 2
-    assert "error:" in err
+    assert report is None
+    assert "error:" in err and "absent.json" in err
+
+
+def test_every_file_command_reports_the_digest_of_its_file(tmp_path, pair_file, infeasible_file):
+    # The pair {x + y <= 0, -x - y <= 0} is feasible and has the boundary
+    # point (0, 0), so every command reports on it; verify-cert checks the
+    # certificate of another system and reports it invalid.
+    cert = tmp_path / "cert.json"
+    assert run_cli("certify", infeasible_file, "--out", str(cert))[0] == 3
+    digest = digest_of(Path(pair_file).read_bytes())
+    for argv in FILE_COMMANDS:
+        command, *rest = [arg.format(tmp=tmp_path) for arg in argv]
+        code, report, err = run_cli(command, pair_file, *rest)
+        assert report is not None, err
+        assert report["input_digest"] == digest
+    code, report, _ = run_cli("bench", "--m-range", "1..2")
+    assert code == 0 and report["input_digest"] is None
 
 
 def test_malformed_json_is_an_input_error(tmp_path):
@@ -422,7 +457,7 @@ def test_thread_env_variable(monkeypatch, triangle_file):
     monkeypatch.setenv("HOFFMAN_THREADS", "2")
     code, threaded, _ = run_cli("enumerate", triangle_file, "--level", "pos")
     assert code == 0
-    assert pools and set(pools) == {2}
+    assert pools == [2]  # one pool for the whole enumeration
     assert threaded["result"] == sequential["result"]
 
     for bad in ("0", "x"):

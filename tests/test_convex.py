@@ -7,9 +7,9 @@ from itertools import combinations
 
 import pytest
 from corpus import point_corpus, system_corpus
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import fraction_min_norm_point_sq, min_norm_point_by_faces
+from oracles import fraction_min_norm_point_sq, inradius_by_supporting_halfspaces, min_norm_point_by_faces
 
 from hoffman import (
     LinearProgram,
@@ -397,6 +397,28 @@ def test_inradius_requires_interior_origin():
 
 def test_inradius_in_one_dimension():
     assert inradius_at_origin_sq([Vec.of([2]), Vec.of([-1])]) == 1
+
+
+@st.composite
+def interior_point_sets(draw):
+    """Point sets whose hull holds the origin in its interior: n to 4 points,
+    their negatives and extra points, with repeated points and multiples of
+    a point, which lie on a line through the origin."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    vectors = st.lists(rationals, min_size=n, max_size=n).map(Vec.of)
+    base = draw(st.lists(vectors, min_size=n, max_size=4))
+    pts = base + [-p for p in base] + draw(st.lists(vectors, max_size=3))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        pts.append(draw(st.sampled_from(pts)).scale(draw(rationals)))
+    assume(minmax_sign(pts) is Trichotomy.POSITIVE)
+    return pts
+
+
+@given(interior_point_sets())
+@settings(max_examples=200, deadline=None)
+def test_inradius_matches_the_supporting_halfspace_search(pts):
+    assert inradius_at_origin_sq(pts) == inradius_by_supporting_halfspaces(pts)
 
 
 # -- combined value --------------------------------------------------------------------

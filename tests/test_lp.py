@@ -350,6 +350,8 @@ def _lp(objective, eqs=(), ineqs=()):
     )
 
 
+FIXED_POINT_EQS = [([1, 1], 1), ([1, -1], "1/3")]
+
 ORACLE_CASES = {
     # 2x + 3y - z = 1/2 has the kernel (-3/2, 1, 0), (1/2, 0, 1)
     "fractional-kernel-optimal": (
@@ -418,6 +420,20 @@ ORACLE_CASES = {
     "degenerate-phase-one": (
         _lp([1, 0, -1], [([1, 1, 1], 1)],
             [([-1, 0, 0], -1), ([0, -1, 0], 0), ([0, 0, -1], 0), ([-2, 0, 0], -2)]),
+        LpStatus.OPTIMAL,
+    ),
+    # x + y = 1 and x - y = 1/3 fix the point (2/3, 1/3), so the kernel is
+    # empty and every inequality is a vacuous row; the last one is tight
+    "fixed-point-optimal": (
+        _lp([1, "1/2"], FIXED_POINT_EQS, [([1, 0], 1), ([0, -1], 0), ([1, 1], 1)]),
+        LpStatus.OPTIMAL,
+    ),
+    "fixed-point-infeasible": (
+        _lp([1, "1/2"], FIXED_POINT_EQS, [([1, 0], 1), ([0, 3], "3/4")]),
+        LpStatus.INFEASIBLE,
+    ),
+    "fixed-point-no-inequalities": (
+        _lp([1, "1/2"], FIXED_POINT_EQS),
         LpStatus.OPTIMAL,
     ),
 }
