@@ -23,11 +23,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
-from .lp import LinearProgram, LpStatus, solve_lp
-from .rational import Mat, RationalLike, Vec, solve_linear
+from .lp import LpStatus, solve_integer_lp
+from .rational import Mat, RationalLike, Vec, integer_row, solve_linear
 
 __all__ = [
     "IndexSet",
@@ -43,7 +44,6 @@ __all__ = [
     "maximal_sets",
 ]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Index sets are 1-based, sorted, duplicate-free tuples.
@@ -93,6 +93,16 @@ class InequalitySystem:
     def rows_for(self, indices: IndexSet) -> list[Vec]:
         self.check_indices(indices)
         return [self.A.rows[i - 1] for i in indices]
+
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[list[int], int], ...]:
+        """Each row `[a_i | b_i]` as `integer_row` scales it, with its scale.
+
+        Computed on first use and kept with the system, so that every margin
+        program of `realizability` reads integers; the rows must not be
+        modified.  Two threads may both compute it, to the same value.
+        """
+        return tuple(integer_row(row.entries + (b,)) for row, b in zip(self.A.rows, self.b.entries))
 
     def check_indices(self, indices: IndexSet) -> None:
         if not indices:
@@ -163,37 +173,29 @@ def realizability(system: InequalitySystem, indices: Iterable[int], level: Level
     system.check_indices(index_set)
     inside = set(index_set)
     n = system.n
+    lifted = level is Level.POSITIVE
 
+    # The rows of the program over (x, [t,] s), each `[coeffs | bound]` in
+    # integers: a lifted row i is `[a_i, -1 | b_i]` times its scale.
     eqs = []
     ineqs = []
-    for i in range(1, system.m + 1):
-        row = _lifted_row(system, i, level)
+    for i, (ints, scale) in enumerate(system._integer_rows, start=1):
+        head = ints[:-1] + [-scale] if lifted else ints[:-1]
         if i in inside:
-            eqs.append((Vec.wrap(row + (_ZERO,)), system.b[i - 1]))
+            eqs.append(head + [0, ints[-1]])
         else:
-            ineqs.append((Vec.wrap(row + (_ONE,)), system.b[i - 1]))
-    width = eqs[0][0].dim  # x, [level t,] margin s
-    s_col = width - 1
-    margin = Vec.unit(width, s_col)
-    if level is Level.POSITIVE:
-        guard = [_ZERO] * width
-        guard[n], guard[s_col] = -_ONE, _ONE
-        ineqs.append((Vec.wrap(tuple(guard)), _ZERO))  # s <= t keeps the level positive
-    ineqs.append((margin, _ONE))
-
-    outcome = solve_lp(
-        LinearProgram(
-            objective=margin,
-            eq_constraints=tuple(eqs),
-            ineq_constraints=tuple(ineqs),
-        )
-    )
-    if outcome.status is not LpStatus.OPTIMAL:
+            ineqs.append((head + [scale, ints[-1]], scale))
+    width = n + lifted + 1  # x, [level t,] margin s
+    if lifted:
+        ineqs.append(([0] * n + [-1, 1, 0], 1))  # s <= t keeps the level positive
+    ineqs.append(([0] * (width - 1) + [1, 1], 1))  # s <= 1 keeps the program bounded
+    status, witness = solve_integer_lp(([0] * (width - 1) + [1], 1), eqs, ineqs, width)
+    if status is not LpStatus.OPTIMAL:
         return None
-    assert outcome.optimal_value is not None and outcome.witness is not None
-    if outcome.optimal_value <= 0:
+    assert witness is not None
+    if witness[-1] <= 0:
         return None
-    return Vec.wrap(outcome.witness.entries[:n])
+    return Vec.wrap(witness[:n])
 
 
 def _equal_level_consistent(system: InequalitySystem, indices: IndexSet, level: Level) -> bool:

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Every command reads exact JSON input, prints one JSON report to stdout, and
-exits with 0 (affirmative verdict or plain success), 3 (negative verdict),
-2 (input error), or 1 (internal error, or stdout closed before the report
-was written, as by `hoffman ... | head`).  Only `enumerate` runs worker
+Every command reads exact JSON input, prints one JSON report on one line to
+stdout, and exits with 0 (affirmative verdict or plain success), 3 (negative
+verdict), 2 (input error), or 1 (internal error, or stdout closed before the
+report was written, as by `hoffman ... | head`).  Only `enumerate` runs worker
 threads, and only when the environment variable HOFFMAN_THREADS sets their
 number; every other command, and `enumerate` without it, runs sequentially.
 Every command but `bench` names a system file.  `main` loads it once, inside
@@ -180,11 +180,11 @@ def _cmd_perturb(args: argparse.Namespace, system: InequalitySystem) -> tuple[di
 
 
 def _cmd_estimate(args: argparse.Namespace, system: InequalitySystem) -> tuple[dict[str, Any], int]:
+    config = SampleConfig(sample_count=args.samples, seed=args.seed, box_radius=args.box)
     eqs: list = []
     ineqs = [(row, system.b[i]) for i, row in enumerate(system.A.rows)]
     if not feasible(eqs, ineqs, dim=system.n).is_feasible:
         raise ValueError("the solution set is empty; the estimator is undefined")
-    config = SampleConfig(sample_count=args.samples, seed=args.seed, box_radius=args.box)
     estimate = estimate_hoffman(system, config)
     result: dict[str, Any] = {
         "estimate": estimate,
@@ -292,9 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     elapsed_ms = (time.perf_counter() - began) * 1000.0
     report = make_report(args.command, digest, elapsed_ms, result)
-    # The text of json.dumps(report, indent=2), written piece by piece, so
-    # that a large report is never held as one string.
-    sys.stdout.writelines(json.JSONEncoder(indent=2).iterencode(report))
+    # One line of compact JSON, encoded by the C encoder in one call (an
+    # indent would fall back to the Python one); `python -m json.tool`
+    # pretty-prints it.
+    sys.stdout.write(json.dumps(report))
     sys.stdout.write("\n")
     return code
 

@@ -3,26 +3,31 @@
 Works entirely over the rationals, so every verdict (optimal / infeasible /
 unbounded) is exact and every witness can be checked by substitution.
 Equality constraints are eliminated up front by one exact Gauss-Jordan
-elimination of `[A_eq | b_eq]` (`rational.solve_affine`), which gives a
-particular solution and a kernel basis; free variables are split into
-nonnegative pairs, and the remaining inequality-only program runs on a dense
-tableau.  Bland's pivoting rule rules out cycling without any perturbation
-tricks, and the whole pipeline is deterministic for a fixed input.
+elimination of `[A_eq | b_eq]` (`rational.reduce_integer_block`).  Every
+pivot variable is then substituted out of each inequality row and of the
+objective, so the program runs on the free variables alone.  These are the
+coordinates of the kernel basis whose vector j has a 1 in free column j.
+Free variables are split into nonnegative pairs, and the remaining
+inequality-only program runs on a dense tableau.  Bland's pivoting rule
+rules out cycling without any perturbation tricks, and the whole pipeline is
+deterministic for a fixed input.
 
 The tableau holds Python integers only, in the integer row format of
-`rational`, and pivots with its `clear_column`.  Each kernel vector is
-scaled to integers, which only rescales its column, and each inequality row
-together with its bound.  The invariant is that every tableau row, and the
+`rational`, and pivots with its `clear_column`.  `solve_lp` scales each row
+of its program to integers once; `activesets.realizability` reads rows its
+system has scaled once.  The invariant is that every tableau row, and the
 objective row, is a positive multiple of the row the same simplex holds over
-`Fraction`; slack and artificial entries carry the row's scale rather than
-1, so neither the phase-one objective nor a ray along a slack is reweighted.
-Bland's rule reads only signs and ratios, which positive row multiples keep:
-the entering column is the first with a positive objective entry, and the
-leaving row minimises `rhs_r / a_r`, compared by cross-multiplying (every
-`a_r` is positive), with ties going to the lower basis index.  So the pivot
-sequence, and every witness and ray, is the one the `Fraction` tableau
-produces (`tests/oracles.py` keeps that tableau as the reference).  Values
-are read out exactly at the end, as `Fraction(rhs, basic entry)`.
+`Fraction`; slack and artificial entries carry the row's multiple rather
+than 1, so neither the phase-one objective nor a ray along a slack is
+reweighted.  Bland's rule reads only signs and ratios, which positive row
+multiples keep: the entering column is the first with a positive objective
+entry, and the leaving row minimises `rhs_r / a_r`, compared by
+cross-multiplying (every `a_r` is positive), with ties going to the lower
+basis index.  So the pivot sequence, and every witness and ray, is the one
+the `Fraction` tableau produces (`tests/oracles.py` keeps that tableau as the
+reference).  The free variables are read out as integers over one
+denominator, the pivot variables from the reduced equality block, and a
+`Fraction` is built only for each coordinate of the point or ray returned.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .rational import (
@@ -37,10 +43,9 @@ from .rational import (
     Vec,
     clear_column,
     eliminate_row,
-    integer_dot,
     integer_row,
     primitive_row,
-    solve_affine,
+    reduce_integer_block,
     to_rational,
 )
 
@@ -180,46 +185,30 @@ def _optimize(tab: list[list[int]], obj: list[int], basis: list[int]) -> int | N
             raise RuntimeError("simplex pivot bound exceeded")
 
 
-def _solve_ineq_lp(
-    cost: list[int], rows: list[tuple[list[int], int, int]], col_scales: Sequence[int], cost_scale: int
-) -> tuple[LpStatus, list[Fraction] | None]:
+def _solve_ineq_lp(cost: list[int], rows: list[tuple[list[int], int, int]]) -> tuple[LpStatus, list[int], int]:
     """Maximize `cost . q` over {q : coeffs . q <= rhs}, all variables free.
 
-    Each row `(coeffs, rhs, scale)` stands for the rational row
-    `(coeffs . q <= rhs) / scale`, and `cost` for `cost / cost_scale`.
-    Coordinate j is the kernel coordinate of `solve_lp` divided by
-    `col_scales[j]`, which only rescales tableau columns.  Returns (status,
-    point | ray | None) in these coordinates; a ray is the one the tableau
-    over the unscaled coordinates finds.
+    Each row `(coeffs, rhs, scale)`, with a nonzero coefficient, stands for
+    the rational row `(coeffs . q <= rhs) / scale`, and `cost` for a positive
+    multiple of the rational cost.  Returns (status, nums, den): the optimal
+    point, or the ray the `Fraction` tableau finds, as integer numerators
+    over one positive denominator (no numerators when infeasible).
     """
     k = len(cost)
-    kept: list[tuple[list[int], int, int]] = []
-    for coeffs, rhs, scale in rows:
-        if not any(coeffs):
-            if rhs < 0:
-                return LpStatus.INFEASIBLE, None
-            continue  # vacuous row
-        kept.append((coeffs, rhs, scale))
-
-    if not kept:
-        if not any(cost):
-            return LpStatus.OPTIMAL, [_ZERO] * k
-        # unconstrained: the unscaled cost vector improves
-        return LpStatus.UNBOUNDED, [Fraction(c, cost_scale * s * s) for c, s in zip(cost, col_scales)]
 
     # Standard form: q = u - v with u, v >= 0, one slack per row, artificials
     # only for rows whose right-hand side had to be negated.  Slack and
     # artificial entries carry the row's scale, so every row is a positive
     # multiple of its rational counterpart.
-    nrows = len(kept)
+    nrows = len(rows)
     nstruct = 2 * k
     art_start = nstruct + nrows
-    width = art_start + sum(rhs < 0 for _, rhs, _ in kept)
+    width = art_start + sum(rhs < 0 for _, rhs, _ in rows)
 
     tab: list[list[int]] = []
     basis: list[int] = []
     next_art = art_start
-    for r, (coeffs, rhs, scale) in enumerate(kept):
+    for r, (coeffs, rhs, scale) in enumerate(rows):
         row = [0] * (width + 1)
         row[:k] = coeffs
         row[k:nstruct] = [-c for c in coeffs]
@@ -241,7 +230,7 @@ def _solve_ineq_lp(
         if _optimize(tab, obj, basis) is not None:
             raise RuntimeError("phase one cannot be unbounded")
         if any(basis[r] >= art_start and tab[r][-1] != 0 for r in range(len(tab))):
-            return LpStatus.INFEASIBLE, None
+            return LpStatus.INFEASIBLE, [], 1
         # Drive zero-valued artificials out; rows that cannot pivot are redundant.
         drop: list[int] = []
         for r in range(len(tab)):
@@ -261,67 +250,114 @@ def _solve_ineq_lp(
     obj[k:nstruct] = [-c for c in cost]
     obj = _price_out(obj, tab, basis)
 
+    # A basic variable takes rhs / entry at an optimum, and moves by
+    # -entry / basic entry along a ray that moves the entering one by 1.
     enter = _optimize(tab, obj, basis)
-    values = [_ZERO] * art_start
     if enter is None:
-        for row, col in zip(tab, basis):
-            values[col] = Fraction(row[-1], row[col])
-        return LpStatus.OPTIMAL, [values[j] - values[k + j] for j in range(k)]
+        status = LpStatus.OPTIMAL
+        terms = [(col, row[-1], row[col]) for row, col in zip(tab, basis) if col < nstruct]
+    else:
+        status = LpStatus.UNBOUNDED
+        terms = [(col, -row[enter], row[col]) for row, col in zip(tab, basis) if col < nstruct]
+        if enter < nstruct:
+            terms.append((enter, 1, 1))
+    den = lcm(*[d for _, _, d in terms])
+    nums = [0] * k
+    for col, num, d in terms:
+        if col < k:
+            nums[col] += num * (den // d)
+        else:
+            nums[col - k] -= num * (den // d)
+    return status, nums, den
 
-    # The scaled tableau's ray moves the entering variable by 1, which is
-    # its column scale times the unscaled tableau's step.
-    step = col_scales[enter % k] if enter < nstruct else 1
-    values[enter] = Fraction(1, step)
-    for row, col in zip(tab, basis):
-        values[col] = Fraction(-row[enter], row[col] * step)
-    return LpStatus.UNBOUNDED, [values[j] - values[k + j] for j in range(k)]
+
+def _substitute(row: list[int], leads: list[list[int]], pivots: list[int], den: int) -> tuple[list[int], int]:
+    """`(mult * row - sum_k row[pivots[k]] * leads[k], mult)` for mult 1 or `den`.
+
+    The reduced block `(leads, pivots, den)` of `rational.reduce_integer_block`
+    expresses each pivot variable in the free ones, so the result has zeros
+    in every pivot column and is `mult` times the row with the pivot
+    variables substituted out; a row of width n + 1 carries its bound along.
+    """
+    hits = [(row[p], lead) for p, lead in zip(pivots, leads) if row[p]]
+    if not hits:
+        return row, 1
+    out = [den * v for v in row]
+    for f, lead in hits:
+        out = [a - f * b for a, b in zip(out, lead)]
+    return out, den
 
 
-def _combination(coords: list[Fraction], kernel: Sequence[list[int]], n: int) -> tuple[list[int], int]:
-    """`sum_j coords[j] * kernel[j]`, of width n, as integer numerators over
-    one denominator."""
-    nums, den = integer_row(coords)
-    total = [0] * n
-    for q, kv in zip(nums, kernel):
-        if q:
-            total = [t + q * v for t, v in zip(total, kv)]
-    return total, den
+def solve_integer_lp(
+    cost: tuple[list[int], int],
+    eqs: list[list[int]],
+    ineqs: Sequence[tuple[list[int], int]],
+    n: int,
+) -> tuple[LpStatus, tuple[Fraction, ...] | None]:
+    """Maximize the objective over {eq rows hold, ineq rows hold as <=}, in integers.
+
+    Each row has width n + 1, the coefficients then the bound.  Equality
+    rows are any nonzero multiples of their rational rows; an inequality
+    `(ints, scale)` and the objective `(ints, scale)` (width n) are their
+    rational rows times `scale > 0`, as `rational.integer_row` makes them.
+    No row is modified.  Returns (status, point | ray | None), equal to what
+    `solve_lp` returns for the rational program.  `activesets` solves its
+    margin programs with it; it is not part of the package surface.
+    """
+    block = reduce_integer_block(eqs, n)
+    if block is None:
+        return LpStatus.INFEASIBLE, None
+    leads, pivots, den = block
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    rows = []
+    for ints, scale in ineqs:
+        row, mult = _substitute(ints, leads, pivots, den)
+        coeffs = [row[j] for j in free]
+        if any(coeffs):
+            rows.append((coeffs, row[n], scale * mult))
+        elif row[n] < 0:
+            return LpStatus.INFEASIBLE, None
+        # otherwise the row holds on every point of the block and is dropped
+    ints, scale = cost
+    c, mult = _substitute(ints, leads, pivots, den)
+    c = [c[j] for j in free]
+    if rows:
+        status, nums, q_den = _solve_ineq_lp(c, rows)
+        if status is LpStatus.INFEASIBLE:
+            return LpStatus.INFEASIBLE, None
+    elif any(c):
+        # unconstrained: the rational cost vector is the improving ray
+        status, nums, q_den = LpStatus.UNBOUNDED, c, scale * mult
+    else:
+        status, nums, q_den = LpStatus.OPTIMAL, c, 1
+
+    # x_p = (lead[n] - sum_j lead[j] * q_j) / den for each pivot p, without
+    # the constant lead[n] on a ray; every coordinate over den * q_den
+    x = [0] * n
+    for j, q in zip(free, nums):
+        x[j] = q * den
+    shift = q_den if status is LpStatus.OPTIMAL else 0
+    for p, lead in zip(pivots, leads):
+        x[p] = lead[n] * shift - sum(lead[j] * q for j, q in zip(free, nums) if q)
+    total = den * q_den
+    return status, tuple(Fraction(v, total) for v in x)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Exact two-phase simplex; deterministic for a fixed input."""
-    reduced = solve_affine([vec for vec, _ in lp.eq_constraints], [b for _, b in lp.eq_constraints], lp.n)
-    if reduced is None:
-        return LpOutcome(LpStatus.INFEASIBLE)
-    origin, kernel = reduced
-    # x = origin + sum_j q_j * int_kernel[j], where int_kernel[j] is kernel[j]
-    # times col_scales[j]; the tableau works in the coordinates q.  With no
-    # kernel every row is vacuous, and the optimum is the origin if it holds.
-    int_kernel, col_scales = zip(*map(integer_row, kernel)) if kernel else ((), ())
-    int_origin, origin_den = integer_row(origin)
-    rows = []
-    for vec, bound in lp.ineq_constraints:
-        # vec . x <= bound, in the coordinates q, times origin_den * row_den
-        ints, row_den = integer_row(vec.entries + (bound,))
-        a = ints[:-1]
-        rows.append((
-            [origin_den * integer_dot(a, kv) for kv in int_kernel],
-            ints[-1] * origin_den - integer_dot(a, int_origin),
-            origin_den * row_den,
-        ))
-    c, cost_scale = integer_row(lp.objective)
-    status, coords = _solve_ineq_lp([integer_dot(c, kv) for kv in int_kernel], rows, col_scales, cost_scale)
-    if status is LpStatus.INFEASIBLE:
-        return LpOutcome(LpStatus.INFEASIBLE)
-    assert coords is not None
-    total, den = _combination(coords, int_kernel, len(int_origin))
+    status, witness = solve_integer_lp(
+        integer_row(lp.objective),
+        [integer_row(vec.entries + (b,))[0] for vec, b in lp.eq_constraints],
+        [integer_row(vec.entries + (b,)) for vec, b in lp.ineq_constraints],
+        lp.n,
+    )
+    if witness is None:
+        return LpOutcome(status)
+    point = Vec.wrap(witness)
     if status is LpStatus.UNBOUNDED:
-        ray = Vec.wrap(tuple(Fraction(t, den) for t in total))
-        return LpOutcome(LpStatus.UNBOUNDED, None, ray)
-    point = Vec.wrap(tuple(
-        Fraction(o * den + t * origin_den, origin_den * den) for o, t in zip(int_origin, total)
-    ))
-    return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)
+        return LpOutcome(status, None, point)
+    return LpOutcome(status, lp.objective.dot(point), point)
 
 
 def _farkas_certificate(

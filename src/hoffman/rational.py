@@ -14,11 +14,12 @@ its denominators, and `primitive_row` divides it by the gcd of its entries.
 `(p * row - f * lead) / gcd` (`eliminate_row`), with f the row's entry in
 the pivot column.  Every row stays a positive multiple of the row the
 `Fraction` elimination holds, so signs and ratios within a row are all that
-is read.  `_rref` (every solve, rank and kernel), the simplex tableau of
-`lp` and Wolfe's Gram matrix in `convex` use these helpers; they are not
-part of the package surface.  The reduced row echelon form is unique, so
-its entry (k, j) is read out as `Fraction(rows[k][j], rows[k][pivots[k]])`,
-and only for the entries a caller reads.
+is read.  `_rref` (every solve, rank and kernel), the equality block and
+simplex tableau of `lp` and Wolfe's Gram matrix in `convex` use these
+helpers; they are not part of the package surface.  The reduced row echelon
+form is unique, so its entry (k, j) is read out as
+`Fraction(rows[k][j], rows[k][pivots[k]])`, and only for the entries a
+caller reads.
 """
 
 from __future__ import annotations
@@ -399,19 +400,23 @@ def nullspace(rows: Sequence[Vec], dim: int) -> list[Vec]:
     return _kernel_basis(*_rref([r.entries for r in rows]), dim)
 
 
-def solve_affine(rows: Sequence[Vec], rhs: Sequence[Fraction], dim: int) -> tuple[Vec, list[Vec]] | None:
-    """Particular solution and kernel basis of {x : rows x = rhs}, or None.
+def reduce_integer_block(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[int], int] | None:
+    """The reduced row echelon form of an integer block `[M | rhs]`, M of
+    width `dim`, over one common denominator; None when it is inconsistent.
 
-    Both come from one Gauss-Jordan elimination of `[rows | rhs]` and equal
-    `solve_linear(...).point` and `nullspace(rows, dim)`; an inconsistent
-    block returns None, and an empty one the origin and the standard basis.
-    The rows must have dimension `dim`.  `lp.solve_lp` eliminates its
-    equality block with it; it is not part of the package surface.
+    Returns `(leads, pivots, den)`: lead k is `den` times row k of the reduced
+    form, so its entry in every pivot column is `den` or 0, and only rows
+    that hold a pivot are kept.  `den` is the lcm of the pivot entries of
+    `_eliminate` (1 for a block without pivots), and `rows` are left as they
+    are.  `lp` substitutes the pivot variables of an equality block with it;
+    it is not part of the package surface.
     """
-    reduced, pivots = _rref([(*row.entries, b) for row, b in zip(rows, rhs)])
-    if any(p == dim for p in pivots):
+    reduced, pivots = _eliminate(list(rows))
+    if pivots and pivots[-1] == dim:
         return None
-    return _particular_solution(reduced, pivots, dim), _kernel_basis(reduced, pivots, dim)
+    heads = [row[p] for row, p in zip(reduced, pivots)]
+    den = lcm(*heads)
+    return [row if h == den else [v * (den // h) for v in row] for row, h in zip(reduced, heads)], pivots, den
 
 
 def solve_integer_system(rows: list[list[int]]) -> tuple[list[int], int] | None:

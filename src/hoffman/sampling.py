@@ -43,6 +43,8 @@ class SampleConfig:
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample count must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         # the sampler draws from [-r, r], whose width 2r must be a finite float
         if not 0 < 2 * self.box_radius < math.inf:
             raise ValueError("box radius must be positive, and twice it a finite float")

@@ -7,6 +7,7 @@ from itertools import combinations
 from typing import Sequence
 
 from hoffman import (
+    ActiveSetFamily,
     IndexSet,
     InequalitySystem,
     Level,
@@ -450,6 +451,48 @@ def fraction_solve_lp(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(LpStatus.UNBOUNDED, None, lifted)
     point = origin + lifted
     return LpOutcome(LpStatus.OPTIMAL, lp.objective.dot(point), point)
+
+
+# -- realizability over Fraction --------------------------------------------------
+
+
+def fraction_realizability(system: InequalitySystem, indices: IndexSet, level: Level) -> Vec | None:
+    """The margin program of `activesets.realizability`, built as a
+    `LinearProgram` of `Fraction` rows and solved by `fraction_solve_lp`:
+    the path the package took before its margin programs read the integer
+    rows each system scales once, kept as its reference."""
+    n = system.n
+    width = n + (2 if level is Level.POSITIVE else 1)  # x, [level t,] margin s
+    eqs, ineqs = [], []
+    for i, row in enumerate(system.A.rows, start=1):
+        lifted = row.entries + ((-_ONE,) if level is Level.POSITIVE else ())
+        if i in indices:
+            eqs.append((Vec.of(lifted + (_ZERO,)), system.b[i - 1]))
+        else:
+            ineqs.append((Vec.of(lifted + (_ONE,)), system.b[i - 1]))
+    margin = Vec.unit(width, width - 1)
+    if level is Level.POSITIVE:
+        guard = [_ZERO] * width
+        guard[n], guard[-1] = -_ONE, _ONE
+        ineqs.append((Vec.of(guard), _ZERO))  # s <= t
+    ineqs.append((margin, _ONE))
+    outcome = fraction_solve_lp(LinearProgram(margin, tuple(eqs), tuple(ineqs)))
+    if outcome.status is not LpStatus.OPTIMAL or outcome.optimal_value <= 0:
+        return None
+    return Vec.of(outcome.witness.entries[:n])
+
+
+def fraction_active_sets(system: InequalitySystem, level: Level) -> ActiveSetFamily:
+    """Every nonempty row subset, by size and then lexicographically, that
+    `fraction_realizability` finds realizable, with its witness: the
+    enumeration with no pruning, on the `Fraction` path."""
+    witnesses = {}
+    for size in range(1, system.m + 1):
+        for combo in combinations(range(1, system.m + 1), size):
+            witness = fraction_realizability(system, combo, level)
+            if witness is not None:
+                witnesses[combo] = witness
+    return ActiveSetFamily(level, tuple(witnesses), witnesses)
 
 
 # -- maximal members of a family by all pairs -------------------------------------

@@ -1,6 +1,8 @@
 """Active-set enumeration: residuals, realizability, pruning, maximal sets."""
 
 import hashlib
+import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -23,7 +25,8 @@ from hoffman import (
     worst_case_system,
 )
 from corpus import system_corpus
-from oracles import maximal_sets_by_pairs
+from oracles import fraction_active_sets, maximal_sets_by_pairs
+from hoffman.rational import integer_row
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -300,3 +303,40 @@ def test_maximal_sets_match_the_all_pairs_scan(family):
 def test_maximal_sets_of_identity_family_match_the_all_pairs_scan():
     family = enumerate_active_sets(worst_case_system(6), Level.POSITIVE)
     assert maximal_sets(family) == maximal_sets_by_pairs(family.sets) == [(1, 2, 3, 4, 5, 6)]
+
+
+# -- integer margin programs against the Fraction path -----------------------------
+
+
+SYSTEMS_FOR_THE_FRACTION_PATH = [*system_corpus(), *(worst_case_system(m) for m in range(1, 7))]
+
+
+@pytest.mark.parametrize("level", list(Level))
+def test_families_and_witnesses_equal_the_fraction_path(level):
+    # repr shows every set and every witness entry, so this is bit identity
+    for system in SYSTEMS_FOR_THE_FRACTION_PATH:
+        assert repr(enumerate_active_sets(system, level)) == repr(fraction_active_sets(system, level))
+
+
+def test_enumeration_scales_each_row_of_the_system_once(monkeypatch):
+    callers = Counter()
+
+    def counted(values):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers[frame.f_code.co_name] += 1
+        return integer_row(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hoffman.") and getattr(module, "integer_row", None) is integer_row:
+            monkeypatch.setattr(module, "integer_row", counted)
+    system = worst_case_system(6)
+    enumerate_active_sets(system, Level.POSITIVE)
+    # 63 margin programs read the 6 rows scaled once; the rest is the
+    # equality block of each subset that `_equal_level_consistent` hands to
+    # `solve_linear` (6 * 2^5 rows over the 63 subsets)
+    assert callers == {"_integer_rows": 6, "_rref": 6 * 2**5}
+    callers.clear()
+    enumerate_active_sets(system, Level.ZERO)
+    assert callers == {"_rref": 6 * 2**5}

@@ -530,12 +530,12 @@ def test_report_text_is_that_of_json_dumps(monkeypatch, triangle_file, argv):
     out = io.StringIO()
     with redirect_stdout(out):
         main([argv[0], triangle_file, *argv[1:]])
-    assert out.getvalue() == json.dumps(reports[0], indent=2) + "\n"
+    assert out.getvalue() == json.dumps(reports[0]) + "\n"
 
 
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
-    path = tmp_path / "id9.json"
-    save_system(worst_case_system(9), path)  # a report of about 140 KB, past the pipe buffer
+    path = tmp_path / "id10.json"
+    save_system(worst_case_system(10), path)  # a report of about 96 KB, past the 64 KB pipe buffer
     with subprocess.Popen(
         [sys.executable, "-m", "hoffman.cli", "enumerate", str(path), "--level", "pos"],
         stdout=subprocess.PIPE,
@@ -547,6 +547,24 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err
+
+
+def test_negative_seed_is_an_input_error_before_any_work(triangle_file):
+    script = (
+        "import sys, hoffman.cli\n"
+        "code = hoffman.cli.main(['estimate', sys.argv[1], '--samples', '10', '--seed', '-1'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded for a rejected seed'\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, triangle_file],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_numpy_is_loaded_only_by_sampling(triangle_file):

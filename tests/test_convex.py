@@ -28,6 +28,7 @@ from hoffman import (
     worst_case_system,
 )
 from hoffman.convex import _checked_nearest, _relative_interior_margin
+from hoffman.lp import solve_integer_lp
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -80,14 +81,16 @@ def route_through(monkeypatch, fn, hook):
 
 
 def count_programs(monkeypatch):
-    """Route every `solve_lp` call of the package through a counter."""
+    """Route every linear program the package solves through a counter: each
+    one reaches `lp.solve_integer_lp`, from `solve_lp` or from the margin
+    program of `realizability`, which no longer builds a `LinearProgram`."""
     programs = []
 
-    def counted(lp):
-        programs.append(lp)
-        return solve_lp(lp)
+    def counted(*args):
+        programs.append(args)
+        return solve_integer_lp(*args)
 
-    route_through(monkeypatch, solve_lp, counted)
+    route_through(monkeypatch, solve_integer_lp, counted)
     return programs
 
 

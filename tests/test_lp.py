@@ -10,11 +10,14 @@ from scipy.optimize import linprog
 
 from hoffman import (
     LinearProgram,
+    LpOutcome,
     LpStatus,
     Vec,
     feasible,
     solve_lp,
 )
+from hoffman.lp import solve_integer_lp
+from hoffman.rational import integer_row
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -482,3 +485,81 @@ def oracle_lps(draw):
 def test_integer_tableau_matches_fraction_tableau(lp):
     # Bit-identical: status, optimal value, and the witness point or ray.
     assert solve_lp(lp) == fraction_solve_lp(lp)
+
+
+# -- the integer core on rows scaled by the caller -----------------------------------
+
+
+def solve_scaled(lp, eq_factors=(), ineq_factors=(), cost_factor=1):
+    """`solve_integer_lp` on the rows of `lp` scaled as a caller may scale
+    them: each equality row by any nonzero integer, each inequality row and
+    the objective by a positive one, which multiplies its scale."""
+    eq_factors = [*eq_factors, *[1] * len(lp.eq_constraints)]
+    ineq_factors = [*ineq_factors, *[1] * len(lp.ineq_constraints)]
+    eqs = [
+        [f * v for v in integer_row((*vec, b))[0]] for (vec, b), f in zip(lp.eq_constraints, eq_factors)
+    ]
+    ineqs = []
+    for (vec, b), f in zip(lp.ineq_constraints, ineq_factors):
+        ints, scale = integer_row((*vec, b))
+        ineqs.append(([f * v for v in ints], f * scale))
+    ints, scale = integer_row(lp.objective)
+    status, witness = solve_integer_lp(([cost_factor * v for v in ints], cost_factor * scale), eqs, ineqs, lp.n)
+    if witness is None:
+        return LpOutcome(status)
+    point = Vec.of(witness)
+    if status is LpStatus.UNBOUNDED:
+        return LpOutcome(status, None, point)
+    return LpOutcome(status, lp.objective.dot(point), point)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_integer_core_matches_fraction_tableau_on_named_programs(name):
+    lp, status = ORACLE_CASES[name]
+    expected = fraction_solve_lp(lp)
+    assert expected.status is status
+    assert solve_scaled(lp) == expected
+    assert solve_scaled(lp, [-2, 3, -1], [6, 1, 4, 2, 5, 3], 10) == expected
+
+
+@st.composite
+def equality_blocked_lps(draw):
+    """Programs whose equality block is redundant (a row repeated, rescaled,
+    or the sum of two others), inconsistent (such a row with its bound
+    moved), or fixes the point (a triangular block with a nonzero diagonal),
+    with few enough inequalities that many programs are unbounded; plus the
+    factors that scale each row."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vectors = st.lists(rationals, min_size=n, max_size=n).map(Vec.of)
+    anchor = draw(vectors)
+    kind = draw(st.sampled_from(["redundant", "inconsistent", "fixes-point", "free"]))
+    if kind == "fixes-point":
+        nonzero = rationals.filter(bool)
+        rows = [
+            Vec.of([draw(nonzero) if j == i else (draw(rationals) if j > i else 0) for j in range(n)])
+            for i in range(n)
+        ]
+    else:
+        rows = draw(st.lists(vectors, max_size=3))
+    eqs = [(row, row.dot(anchor)) for row in rows]
+    if kind in ("redundant", "inconsistent") and eqs:
+        (first, b1), (second, b2) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+        factor = draw(st.sampled_from([1, -1, Fraction(2, 3)]))
+        extra = (first.scale(factor) + second, b1 * factor + b2)
+        if kind == "inconsistent":
+            extra = (extra[0], extra[1] + draw(rationals.filter(bool)))
+        eqs.insert(draw(st.integers(min_value=0, max_value=len(eqs))), extra)
+    ineqs = draw(st.lists(st.tuples(vectors, rationals), max_size=3))
+    objective = draw(st.one_of(vectors, st.just(Vec.zeros(n))))
+    lp = LinearProgram(objective=objective, eq_constraints=tuple(eqs), ineq_constraints=tuple(ineqs))
+    eq_factors = draw(st.lists(st.sampled_from([-3, -1, 1, 2, 6]), min_size=len(eqs), max_size=len(eqs)))
+    ineq_factors = draw(st.lists(st.integers(min_value=1, max_value=7), min_size=len(ineqs), max_size=len(ineqs)))
+    return lp, eq_factors, ineq_factors, draw(st.integers(min_value=1, max_value=5))
+
+
+@given(equality_blocked_lps())
+@settings(max_examples=300, deadline=None)
+def test_integer_core_matches_fraction_tableau(case):
+    # Bit-identical: status, optimal value, and the witness point or ray.
+    lp, eq_factors, ineq_factors, cost_factor = case
+    assert solve_scaled(lp, eq_factors, ineq_factors, cost_factor) == fraction_solve_lp(lp)

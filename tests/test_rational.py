@@ -25,9 +25,32 @@ from hoffman import (
     to_rational,
     worst_case_system,
 )
-from hoffman.rational import integer_row, solve_affine
+from hoffman.rational import integer_row, reduce_integer_block
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def solve_affine(rows, rhs, dim):
+    """Particular solution and kernel basis of {x : rows x = rhs}, or None,
+    read off `reduce_integer_block` as `lp` reads it: pivot p_k of lead k
+    takes `lead[dim] / den` at the free variables' zero, and the kernel
+    vector of free column f has a 1 there and `-lead[f] / den` at p_k."""
+    block = reduce_integer_block([integer_row((*row, b))[0] for row, b in zip(rows, rhs)], dim)
+    if block is None:
+        return None
+    leads, pivots, den = block
+    assert all(lead[q] == (den if q == p else 0) for lead, p in zip(leads, pivots) for q in pivots)
+    point = [Fraction(0)] * dim
+    for lead, p in zip(leads, pivots):
+        point[p] = Fraction(lead[dim], den)
+    kernel = []
+    for f in (j for j in range(dim) if j not in pivots):
+        v = [Fraction(0)] * dim
+        v[f] = Fraction(1)
+        for lead, p in zip(leads, pivots):
+            v[p] = Fraction(-lead[f], den)
+        kernel.append(Vec.of(v))
+    return Vec.of(point), kernel
 
 
 # -- scalar parsing and emission ---------------------------------------------

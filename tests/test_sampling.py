@@ -35,6 +35,9 @@ def test_sample_config_validation():
     for radius in (math.inf, 1e308):
         with pytest.raises(ValueError):
             SampleConfig(sample_count=100, box_radius=radius)
+    # numpy's generators take no negative seed; the message names the seed
+    with pytest.raises(ValueError, match="seed"):
+        SampleConfig(sample_count=100, seed=-1)
 
 
 def test_sample_minmax_is_deterministic_per_seed():
