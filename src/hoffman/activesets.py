@@ -18,6 +18,7 @@ monotone and is therefore re-tested per subset.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -51,7 +52,15 @@ IndexSet = tuple[int, ...]
 
 
 def make_index_set(indices: Iterable[int]) -> IndexSet:
-    out = tuple(sorted(set(int(i) for i in indices)))
+    """`indices` sorted and without duplicates.  Each must be an integer, as
+    `operator.index` takes it, and not a bool (TypeError otherwise); the set
+    must be nonempty and 1-based (ValueError otherwise)."""
+    values = set()
+    for i in indices:
+        if isinstance(i, bool):
+            raise TypeError(f"an index must be an integer, not {i!r}")
+        values.add(operator.index(i))
+    out = tuple(sorted(values))
     if not out:
         raise ValueError("index set must be nonempty")
     if out[0] < 1:
@@ -149,16 +158,6 @@ class ActiveSetFamily:
         return make_index_set(indices) in set(self.sets)
 
 
-def _lifted_row(system: InequalitySystem, i: int, level: Level) -> tuple[Fraction, ...]:
-    """Entries of row i (1-based) of the lifted system `A x - t 1 <= b`.
-
-    The positive level keeps the column of the common level t; the zero level
-    pins t = 0, which leaves the row of A unchanged.
-    """
-    entries = system.A.rows[i - 1].entries
-    return entries + (-_ONE,) if level is Level.POSITIVE else entries
-
-
 def realizability(system: InequalitySystem, indices: Iterable[int], level: Level) -> Vec | None:
     """Witness point whose active set is exactly `indices` at the given level.
 
@@ -200,7 +199,9 @@ def realizability(system: InequalitySystem, indices: Iterable[int], level: Level
 
 def _equal_level_consistent(system: InequalitySystem, indices: IndexSet, level: Level) -> bool:
     """Consistency of the equality block that pins `indices` to one level."""
-    rows = tuple(Vec.wrap(_lifted_row(system, i, level)) for i in indices)
+    rows = tuple(system.A.rows[i - 1] for i in indices)
+    if level is Level.POSITIVE:  # the column of the common level t of `A x - t 1 <= b`
+        rows = tuple(Vec.wrap(row.entries + (-_ONE,)) for row in rows)
     rhs = Vec.wrap(tuple(system.b[i - 1] for i in indices))
     return solve_linear(Mat(rows), rhs) is not None
 

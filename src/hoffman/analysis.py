@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .activesets import (
     IndexSet,
@@ -37,8 +36,7 @@ from .activesets import (
     max_residual,
     maximal_sets,
 )
-from .convex import Trichotomy, minmax_value_sq
-from .lp import LinearProgram, LpStatus, solve_lp
+from .convex import Trichotomy, convex_hull_multipliers, minmax_value_sq
 from .rational import Mat, Vec, to_rational
 
 __all__ = [
@@ -52,13 +50,11 @@ __all__ = [
     "check_stability",
     "hoffman_constant_sq",
     "verify_certificate",
-    "convex_hull_multipliers",
     "perturb",
     "worst_case_system",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -124,25 +120,6 @@ class Perturbation:
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "anchor", anchor)
-
-
-def convex_hull_multipliers(rows: Sequence[Vec]) -> Vec | None:
-    """Convex coefficients combining `rows` to the zero vector, or None.
-
-    Solves {sum(l_i row_i) = 0, sum(l_i) = 1, 0 <= l_i <= 1} exactly.  The
-    rows l_i <= 1 follow from the others but stay: the simplex pivots, and so
-    the multipliers, depend on them.
-    """
-    if not rows:
-        raise ValueError("need at least one row")
-    k = len(rows)
-    eqs = [(Vec.of([row[coord] for row in rows]), _ZERO) for coord in range(rows[0].dim)]
-    eqs.append((Vec.of([_ONE] * k), _ONE))
-    ineqs = [(Vec.unit(k, i), _ONE) for i in range(k)]
-    ineqs += [(Vec.unit(k, i).scale(-1), _ZERO) for i in range(k)]
-    # Only the multipliers are read, so no infeasibility certificate is built.
-    outcome = solve_lp(LinearProgram(Vec.zeros(k), tuple(eqs), tuple(ineqs)))
-    return outcome.witness if outcome.status is LpStatus.OPTIMAL else None
 
 
 def check_error_bound(system: InequalitySystem, *, maximal_only: bool = True) -> ErrorBoundVerdict:

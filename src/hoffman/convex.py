@@ -21,7 +21,9 @@ positive distance is both the negative sign and its magnitude.  When the
 nearest point is the origin, one margin program, max t subject to
 {sum(l_i d_i) = 0, sum(l_i) = 1, l_i >= t}, tells zero from positive: the
 origin is interior exactly when the margin is positive and the hull is
-full-dimensional.
+full-dimensional.  The same hull system, without the margin, gives the
+convex multipliers of a no-error-bound certificate
+(`convex_hull_multipliers`).
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ from .rational import (
     integer_row,
     nullspace,
     primitive_row,
-    solve_integer_system,
+    reduce_integer_block,
     sqrt_approx,
 )
 
 __all__ = [
     "Trichotomy",
     "MinMaxValue",
+    "convex_hull_multipliers",
     "minmax_sign",
     "min_norm_point_sq",
     "inradius_at_origin_sq",
@@ -89,15 +92,37 @@ def _validated(points: Sequence[Vec]) -> list[Vec]:
     return pts
 
 
+def _hull_equalities(pts: Sequence[Vec], zeros: int) -> tuple[tuple[Vec, Fraction], ...]:
+    """The rows of {sum(l_i p_i) = 0, sum(l_i) = 1} over the multipliers l_i,
+    each followed by `zeros` zero columns for variables they leave free."""
+    pad = (_ZERO,) * zeros
+    eqs = [(Vec.wrap(tuple(p[coord] for p in pts) + pad), _ZERO) for coord in range(pts[0].dim)]
+    eqs.append((Vec.wrap((_ONE,) * len(pts) + pad), _ONE))
+    return tuple(eqs)
+
+
+def convex_hull_multipliers(rows: Sequence[Vec]) -> Vec | None:
+    """Convex coefficients combining `rows` to the zero vector, or None.
+
+    Solves {sum(l_i row_i) = 0, sum(l_i) = 1, 0 <= l_i <= 1} exactly.  The
+    rows l_i <= 1 follow from the others but stay: the simplex pivots, and so
+    the multipliers, depend on them.
+    """
+    pts = _validated(rows)
+    k = len(pts)
+    ineqs = [(Vec.unit(k, i), _ONE) for i in range(k)]
+    ineqs += [(Vec.unit(k, i).scale(-1), _ZERO) for i in range(k)]
+    # Only the multipliers are read, so no infeasibility certificate is built.
+    outcome = solve_lp(LinearProgram(Vec.zeros(k), _hull_equalities(pts, 0), tuple(ineqs)))
+    return outcome.witness if outcome.status is LpStatus.OPTIMAL else None
+
+
 def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction | None:
     """max t such that the origin is an affine combination of pts with every
     multiplier at least t (so t <= 1/k), or None off aff(pts).  t < 0 outside
     conv(pts), t = 0 on its relative boundary, t > 0 in its relative interior."""
     k = len(pts)
-    n = pts[0].dim
     width = k + 1  # multipliers plus the margin variable
-    eqs = [(Vec.wrap(tuple(p[coord] for p in pts) + (_ZERO,)), _ZERO) for coord in range(n)]
-    eqs.append((Vec.wrap((_ONE,) * k + (_ZERO,)), _ONE))
     ineqs = []
     for i in range(k):
         row = [_ZERO] * width
@@ -107,7 +132,7 @@ def _relative_interior_margin(pts: Sequence[Vec]) -> Fraction | None:
     outcome = solve_lp(
         LinearProgram(
             objective=Vec.unit(width, k),
-            eq_constraints=tuple(eqs),
+            eq_constraints=_hull_equalities(pts, 1),
             ineq_constraints=tuple(ineqs),
         )
     )
@@ -205,10 +230,12 @@ def min_norm_point_sq(points: Sequence[Vec]) -> tuple[Vec, Fraction]:
             k = len(corral)
             system = [[gram[i][j] for j in corral] + [1, 0] for i in corral]
             system.append([1] * k + [0, 1])
-            solution = solve_integer_system(system)
-            if solution is None:
+            block = reduce_integer_block(system, k + 1)
+            if block is None or len(block[1]) <= k:
                 raise RuntimeError("the corral of the nearest-point method lost affine independence")
-            target, tden = solution[0][:k], solution[1]
+            leads, _, lead_den = block
+            tden, *target = primitive_row([lead_den] + [lead[k + 1] for lead in leads])
+            target = target[:k]  # the last entry is the multiplier of sum(l) = 1
             if all(t > 0 for t in target):
                 lam, den = target, tden
                 break

@@ -130,16 +130,12 @@ def parse_certificate_data(data: Any) -> Certificate:
     if missing:
         raise SystemFileError(f"certificate is missing fields: {sorted(missing)}")
     active_raw = data["active"]
-    if (
-        not isinstance(active_raw, list)
-        or not active_raw
-        or any(not isinstance(i, int) or isinstance(i, bool) for i in active_raw)
-    ):
-        raise SystemFileError("'active' must be a nonempty array of 1-based integers")
     try:
+        if not isinstance(active_raw, list):
+            raise TypeError("not an array")
         active: IndexSet = make_index_set(active_raw)
-    except ValueError as exc:
-        raise SystemFileError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise SystemFileError("'active' must be a nonempty array of 1-based integers") from exc
     return Certificate(
         point=parse_vec_data(data["point"]),
         active=active,

@@ -14,12 +14,15 @@ its denominators, and `primitive_row` divides it by the gcd of its entries.
 `(p * row - f * lead) / gcd` (`eliminate_row`), with f the row's entry in
 the pivot column.  Every row stays a positive multiple of the row the
 `Fraction` elimination holds, so signs and ratios within a row are all that
-is read.  `_rref` (every solve, rank and kernel), the equality block and
-simplex tableau of `lp` and Wolfe's Gram matrix in `convex` use these
-helpers; they are not part of the package surface.  The reduced row echelon
-form is unique, so its entry (k, j) is read out as
-`Fraction(rows[k][j], rows[k][pivots[k]])`, and only for the entries a
-caller reads.
+is read.  The simplex tableau of `lp` and Wolfe's Gram matrix in `convex`
+use these helpers too; they are not part of the package surface.
+
+One elimination, `_eliminate`, reduces every block, and it has one read-out:
+`reduce_integer_block` brings the reduced row echelon form, which is unique,
+over one common denominator.  `solve_linear`, `nullspace`, the equality
+block of `lp` and Wolfe's corral system in `convex` all read that block, and
+`rank` and `affine_hull_dim` count the pivots of the elimination.  A
+`Fraction` is built only for an entry a caller returns.
 """
 
 from __future__ import annotations
@@ -327,20 +330,15 @@ def integer_dot(a: Iterable[int], b: Iterable[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _rref(rows: Iterable[Iterable[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination; returns (integer rows, pivot columns).
+def _eliminate(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place;
+    returns (rows, pivot columns).
 
     Row k of the result, for k below the number of pivots, is a positive
     integer multiple of row k of the reduced row echelon form, so that form's
     entry (k, j) is `rows[k][j] / rows[k][pivots[k]]`.  Rows past the last
     pivot are zero.
     """
-    return _eliminate([integer_row(row)[0] for row in rows])
-
-
-def _eliminate(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """The elimination of `_rref` on rows that are already integer; it
-    rearranges and replaces the rows of `mat` in place."""
     pivots: list[int] = []
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
@@ -355,6 +353,29 @@ def _eliminate(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
+def reduce_integer_block(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[int], int] | None:
+    """The reduced row echelon form of an integer block `[M | rhs]`, M of
+    width `dim`, over one common denominator; None when it is inconsistent.
+
+    Returns `(leads, pivots, den)`: lead k is `den` times row k of the reduced
+    form, so its entry in every pivot column is `den` or 0, and only rows
+    that hold a pivot are kept.  `den` is the lcm of the pivot entries of
+    `_eliminate` (1 for a block without pivots), and `rows` are left as they
+    are.  With the free variables at zero, pivot variable p_k is
+    `lead_k[dim] / den`; the kernel vector of free column f has a 1 there
+    and `-lead_k[f] / den` at p_k.  `solve_linear` and `nullspace` read it
+    so, `lp` substitutes the pivot variables of an equality block with it,
+    and `convex` solves the corral system of Wolfe's method with it; it is
+    not part of the package surface.
+    """
+    reduced, pivots = _eliminate(list(rows))
+    if pivots and pivots[-1] == dim:
+        return None
+    heads = [row[p] for row, p in zip(reduced, pivots)]
+    den = lcm(*heads)
+    return [row if h == den else [v * (den // h) for v in row] for row, h in zip(reduced, heads)], pivots, den
+
+
 def _ratio(num: int, den: int) -> Fraction:
     """`num / den` in lowest terms; zero reuses `_ZERO`, and `den == 1` skips the gcd."""
     if not num:
@@ -365,7 +386,7 @@ def _ratio(num: int, den: int) -> Fraction:
 def _row_rank(rows: Sequence[Vec], dim: int) -> int:
     if any(r.dim != dim for r in rows):
         raise ValueError("rank: rows must share the stated dimension")
-    return len(_rref([r.entries for r in rows])[1])
+    return len(_eliminate([integer_row(r.entries)[0] for r in rows])[1])
 
 
 def rank(matrix: Mat) -> int:
@@ -382,10 +403,14 @@ def solve_linear(matrix: Mat, rhs: Vec) -> LinearSolution | None:
     if rhs.dim != matrix.m:
         raise ValueError(f"dimension mismatch: {matrix.m} rows, rhs of dimension {rhs.dim}")
     n = matrix.n
-    reduced, pivots = _rref([(*row.entries, b) for row, b in zip(matrix.rows, rhs.entries)])
-    if any(p == n for p in pivots):
+    block = reduce_integer_block([integer_row((*row.entries, b))[0] for row, b in zip(matrix.rows, rhs.entries)], n)
+    if block is None:
         return None
-    return LinearSolution(_particular_solution(reduced, pivots, n), unique=len(pivots) == n)
+    leads, pivots, den = block
+    point = [_ZERO] * n
+    for lead, p in zip(leads, pivots):
+        point[p] = _ratio(lead[n], den)
+    return LinearSolution(Vec.wrap(tuple(point)), unique=len(pivots) == n)
 
 
 def nullspace(rows: Sequence[Vec], dim: int) -> list[Vec]:
@@ -397,66 +422,17 @@ def nullspace(rows: Sequence[Vec], dim: int) -> list[Vec]:
         raise ValueError("nullspace dimension must be at least 1")
     if any(r.dim != dim for r in rows):
         raise ValueError("nullspace: rows must share the stated dimension")
-    return _kernel_basis(*_rref([r.entries for r in rows]), dim)
-
-
-def reduce_integer_block(rows: list[list[int]], dim: int) -> tuple[list[list[int]], list[int], int] | None:
-    """The reduced row echelon form of an integer block `[M | rhs]`, M of
-    width `dim`, over one common denominator; None when it is inconsistent.
-
-    Returns `(leads, pivots, den)`: lead k is `den` times row k of the reduced
-    form, so its entry in every pivot column is `den` or 0, and only rows
-    that hold a pivot are kept.  `den` is the lcm of the pivot entries of
-    `_eliminate` (1 for a block without pivots), and `rows` are left as they
-    are.  `lp` substitutes the pivot variables of an equality block with it;
-    it is not part of the package surface.
-    """
-    reduced, pivots = _eliminate(list(rows))
-    if pivots and pivots[-1] == dim:
-        return None
-    heads = [row[p] for row, p in zip(reduced, pivots)]
-    den = lcm(*heads)
-    return [row if h == den else [v * (den // h) for v in row] for row, h in zip(reduced, heads)], pivots, den
-
-
-def solve_integer_system(rows: list[list[int]]) -> tuple[list[int], int] | None:
-    """The solution of a square integer system, as integer numerators over
-    one positive common denominator in lowest terms; None when it is singular.
-
-    `rows` are those of `[M | rhs]` with M of size n x n, and are left as
-    they are.  The solution comes from the one elimination of `_rref`.
-    `convex` solves the corral system of Wolfe's method with it; it is not
-    part of the package surface.
-    """
-    n = len(rows)
-    reduced, pivots = _eliminate(list(rows))
-    if pivots != list(range(n)):
-        return None
-    den = lcm(*[row[k] for k, row in enumerate(reduced)])
-    nums = [row[n] * (den // row[k]) for k, row in enumerate(reduced)]
-    den, *nums = primitive_row([den] + nums)
-    return nums, den
-
-
-def _particular_solution(reduced: list[list[int]], pivots: list[int], n: int) -> Vec:
-    """The solution of a reduced `[M | rhs]` whose free variables are zero."""
-    point = [_ZERO] * n
-    for row, col in zip(reduced, pivots):
-        point[col] = _ratio(row[n], row[col])
-    return Vec.wrap(tuple(point))
-
-
-def _kernel_basis(reduced: list[list[int]], pivots: list[int], dim: int) -> list[Vec]:
-    """One kernel vector per free column of a reduced matrix, in column order."""
+    # a zero bound column never makes the block inconsistent
+    leads, pivots, den = reduce_integer_block([integer_row(r.entries)[0] + [0] for r in rows], dim)
     pivot_set = set(pivots)
     basis: list[Vec] = []
-    for free_col in range(dim):
-        if free_col in pivot_set:
+    for f in range(dim):
+        if f in pivot_set:
             continue
         v = [_ZERO] * dim
-        v[free_col] = _ONE
-        for row, piv_col in zip(reduced, pivots):
-            v[piv_col] = _ratio(-row[free_col], row[piv_col])
+        v[f] = _ONE
+        for lead, p in zip(leads, pivots):
+            v[p] = _ratio(-lead[f], den)
         basis.append(Vec.wrap(tuple(v)))
     return basis
 

@@ -85,6 +85,15 @@ def test_make_index_set_rejects_bad_input():
         make_index_set([0, 1])
     with pytest.raises(ValueError):
         make_index_set([-2])
+    # an index is an integer: no float is truncated, and no bool counts as 1
+    with pytest.raises(TypeError):
+        make_index_set([1.4, 2.9])
+    with pytest.raises(TypeError):
+        make_index_set([True, 2])
+    with pytest.raises(TypeError):
+        make_index_set(["2"])
+    with pytest.raises(TypeError):
+        realizability(worst_case_system(3), [2.7], Level.POSITIVE)
 
 
 def test_check_indices_rejects_out_of_range():
@@ -336,7 +345,7 @@ def test_enumeration_scales_each_row_of_the_system_once(monkeypatch):
     # 63 margin programs read the 6 rows scaled once; the rest is the
     # equality block of each subset that `_equal_level_consistent` hands to
     # `solve_linear` (6 * 2^5 rows over the 63 subsets)
-    assert callers == {"_integer_rows": 6, "_rref": 6 * 2**5}
+    assert callers == {"_integer_rows": 6, "solve_linear": 6 * 2**5}
     callers.clear()
     enumerate_active_sets(system, Level.ZERO)
-    assert callers == {"_rref": 6 * 2**5}
+    assert callers == {"solve_linear": 6 * 2**5}

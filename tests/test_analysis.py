@@ -268,6 +268,17 @@ def test_hull_multipliers_exist_only_for_enclosing_sets():
     assert combined.is_zero()
 
 
+def test_hull_multipliers_reject_rows_of_mixed_dimension():
+    # the shorter first row once set the width, and (1/2, 1/2) came back
+    # for rows that do not combine to zero
+    with pytest.raises(ValueError):
+        convex_hull_multipliers([Vec.of([1]), Vec.of([-1, 5])])
+    with pytest.raises(ValueError):
+        convex_hull_multipliers([Vec.of([1, 5]), Vec.of([-1])])
+    with pytest.raises(ValueError):
+        convex_hull_multipliers([])
+
+
 def test_hull_multiplier_for_zero_row():
     lam = convex_hull_multipliers([Vec.of([0, 0])])
     assert lam is not None
@@ -298,6 +309,10 @@ def test_certificate_rejections():
 
     out_of_range = Certificate(good.point, (1, 5), good.hull_multipliers)
     assert not verify_certificate(INFEASIBLE, out_of_range)
+
+    # indices are integers: 1.4 and 2.9 are not truncated to (1, 2), nor is True read as 1
+    for active in [(1.4, 2.9), (True, 2), (1, 2.0)]:
+        assert not verify_certificate(INFEASIBLE, Certificate(good.point, active, good.hull_multipliers))
 
 
 # -- perturbations -------------------------------------------------------------------------
